@@ -46,14 +46,6 @@ constexpr FlagSpec kBenchFlags[] = {
      }},
     {"--prof", "PATH", "write a collapsed-stack host-time profile (FlameGraph format)",
      [](BenchOptions* options, const char* value) { options->prof_path = value; }},
-    {"--backend", "NAME", "ftx::env execution backend: sim|threads (default: bench's choice)",
-     [](BenchOptions* options, const char* value) {
-       if (std::strcmp(value, "sim") != 0 && std::strcmp(value, "threads") != 0) {
-         std::fprintf(stderr, "invalid --backend: %s (want sim or threads)\n", value);
-         std::exit(2);
-       }
-       options->backend = value;
-     }},
     {"--batch", "N", "group-commit window size for DC-disk runs (records per sync; 0 = off)",
      [](BenchOptions* options, const char* value) {
        options->batch = std::strtoll(value, nullptr, 10);

@@ -52,9 +52,6 @@ namespace ftx_bench {
 //                  min/median over the samples (simulated rows ignore it)
 //   --prof PATH    write a collapsed-stack host-time profile of the run
 //                  (ftx::prof; FlameGraph / speedscope compatible)
-//   --backend B    execution backend for benches that support the ftx::env
-//                  seam: sim | threads (default: the bench's own choice —
-//                  backend_equiv runs both and byte-compares)
 //   --batch N      group-commit window size for DC-disk runs (records per
 //                  sync window; 0 or 1 = the one-sync-pair-per-commit path)
 //   --shards N     partitioned event-engine shard count for benches that
@@ -74,7 +71,6 @@ struct BenchOptions {
   bool audit = false;
   int repeat = 1;          // wall-clock repetitions (clamped to >= 1)
   std::string prof_path;   // collapsed-stack profile output; empty = prof off
-  std::string backend;    // "sim" | "threads"; empty = the bench's default
   int64_t batch = 0;      // group-commit window size; <= 1 = batching off
   int shards = 0;         // event-engine shards; 0 = the bench's own choice
   std::string log_level;  // as given; applied via ftx::SetLogLevel at parse

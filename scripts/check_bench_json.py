@@ -69,11 +69,6 @@ REQUIRED_ROW_FIELDS = {
                        "reorder_states", "survivor_committed",
                        "survivor_inflight", "survivor_none", "replays",
                        "replays_consistent", "violations", "ok"],
-    "backend_equiv": ["workload", "protocol", "backend", "processes", "events",
-                      "crashes", "batch", "commits", "window_syncs",
-                      "rollbacks", "coordinated_rounds", "decisions",
-                      "decision_crc", "transport_mismatches",
-                      "durable_mismatches", "equal", "mismatch_index", "ok"],
     "fleet_faults": ["protocol", "crashes", "clients", "servers",
                      "requests_per_client", "necessary_ops", "executed_ops",
                      "efficiency", "violations", "commits", "rollbacks"],
@@ -320,22 +315,6 @@ def check_file(path):
                 ok = fail(path, f"rows[{i}]: {row.get('replays')} replays but "
                                 f"only {row.get('replays_consistent')} "
                                 f"consistent")
-        # Backend-equivalence rows gate hard: in "both" mode the env::threads
-        # decision log must be byte-equal to the env::sim oracle's, and no
-        # run may have seen a transport or durability mismatch.
-        if bench == "backend_equiv":
-            if row.get("ok") is not True:
-                ok = fail(path, f"rows[{i}]: backend equivalence failed "
-                                f"(ok={row.get('ok')!r})")
-            if row.get("backend") == "both" and row.get("equal") is not True:
-                ok = fail(path, f"rows[{i}]: decision logs diverge at line "
-                                f"{row.get('mismatch_index')!r}")
-            if (row.get("transport_mismatches") != 0
-                    or row.get("durable_mismatches") != 0):
-                ok = fail(path, f"rows[{i}]: transport_mismatches="
-                                f"{row.get('transport_mismatches')!r}, "
-                                f"durable_mismatches="
-                                f"{row.get('durable_mismatches')!r}")
         # Recovery-profile rows gate hard too: every sweep point must have
         # actually recovered (replays > 0) into a consistent state, and its
         # host-time phase attribution must have fired (the recovery ran

@@ -35,7 +35,7 @@ ftx_sm::EventKind ToTraceKind(ftx_proto::AppEvent event) {
 }  // namespace
 
 Runtime::Runtime(int pid, int num_processes, App* app,
-                 std::unique_ptr<ftx_proto::Protocol> protocol, ftx::env::Environment env,
+                 std::unique_ptr<ftx_proto::Protocol> protocol, Environment env,
                  RuntimeMode mode, RuntimeCosts costs)
     : pid_(pid),
       num_processes_(num_processes),
@@ -45,15 +45,13 @@ Runtime::Runtime(int pid, int num_processes, App* app,
       mode_(mode),
       costs_(costs) {
   FTX_CHECK(app != nullptr);
-  // The Environment builder already validated clock/transport/kernel/
-  // recorder; the mode-dependent requirements are enforced here in the same
-  // named-field style.
-  FTX_CHECK_MSG(env_.clock != nullptr, "Runtime: missing required dependency 'clock'");
-  FTX_CHECK_MSG(env_.transport != nullptr, "Runtime: missing required dependency 'transport'");
+  FTX_CHECK_MSG(env_.sim != nullptr, "Runtime: missing required dependency 'sim'");
+  FTX_CHECK_MSG(env_.network != nullptr, "Runtime: missing required dependency 'network'");
   FTX_CHECK_MSG(env_.kernel != nullptr, "Runtime: missing required dependency 'kernel'");
   FTX_CHECK_MSG(env_.recorder != nullptr, "Runtime: missing required dependency 'recorder'");
   if (mode_ == RuntimeMode::kRecoverable) {
-    FTX_CHECK_MSG(protocol_ != nullptr, "Runtime: recoverable mode requires a protocol");
+    FTX_CHECK_MSG(protocol_ != nullptr,
+                  "Runtime: recoverable mode requires dependency 'protocol'");
     FTX_CHECK_MSG(env_.trace != nullptr,
                   "Runtime: recoverable mode requires dependency 'trace'");
     FTX_CHECK_MSG(env_.store != nullptr,
@@ -277,7 +275,7 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
   // the kernel / input / ND-log cursors recovery must restore.
   CommittedMeta meta;
   meta.registers[0] = static_cast<uint64_t>(step_count_);
-  meta.registers[1] = static_cast<uint64_t>(env_.clock->Now().nanos());
+  meta.registers[1] = static_cast<uint64_t>(env_.sim->Now().nanos());
   meta.step_count = step_count_;
   meta.kernel_records = env_.kernel->RecordCount(pid_);
   meta.input_cursor = input_cursor_;
@@ -371,7 +369,7 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
     FTX_PROF_SCOPE("commit.reprotect");
     segment_->Commit();
   }
-  env_.transport->ReleaseAllDelivered(pid_);
+  env_.network->ReleaseAllDelivered(pid_);
   communicated_mask_ = 0;  // dependencies up to here are now stable
 
   ++stats_.commits;
@@ -477,7 +475,7 @@ ftx::Duration Runtime::FlushCommitWindow() {
     env_.tracer->Span(pid_, ftx_obs::TraceLane::kStorage, "dc",
                        "commit(window x" + std::to_string(records) + ")", base, base + cost);
   }
-  env_.transport->ReleaseAllDelivered(pid_);
+  env_.network->ReleaseAllDelivered(pid_);
   staged_meta_.clear();
   return cost;
 }
@@ -598,7 +596,7 @@ ftx::Duration Runtime::Recover() {
     FTX_PROF_SCOPE("recover.kernel_replay");
     FTX_CHECK(env_.kernel->ReconstructFor(pid_, committed_.kernel_records).ok());
   }
-  env_.transport->RequeueRetained(pid_);
+  env_.network->RequeueRetained(pid_);
 
   // Volatile ranges were not part of the committed state: zero them and let
   // the application recompute (possibly avoiding re-corruption, §2.6).
@@ -653,7 +651,7 @@ ftx::Duration Runtime::RestartFromScratch() {
     heap_->Format();
   }
   FTX_CHECK(env_.kernel->ReconstructFor(pid_, 0).ok());
-  env_.transport->ReleaseAllDelivered(pid_);
+  env_.network->ReleaseAllDelivered(pid_);
   input_cursor_ = 0;
   step_count_ = 0;
   nd_log_.clear();
@@ -797,7 +795,7 @@ void Runtime::Send(int dst, ftx::Bytes payload) {
   ++stats_.sends;
   if (mode_ == RuntimeMode::kBaseline) {
     Charge(costs_.syscall_service);
-    env_.transport->Send(pid_, dst, std::move(payload));
+    env_.network->Send(pid_, dst, std::move(payload));
     return;
   }
   ftx_proto::CommitDecision d = PreEvent(ftx_proto::AppEvent::kSend);
@@ -805,17 +803,17 @@ void Runtime::Send(int dst, ftx::Bytes payload) {
   if (dst >= 0 && dst < 64) {
     communicated_mask_ |= 1ULL << dst;
   }
-  int64_t message_id = env_.transport->Send(pid_, dst, std::move(payload));
+  int64_t message_id = env_.network->Send(pid_, dst, std::move(payload));
   PostEvent(ftx_proto::AppEvent::kSend, d, message_id, false, "send");
 }
 
-std::optional<ftx::env::Message> Runtime::TryReceive() {
+std::optional<ftx_sim::Message> Runtime::TryReceive() {
   if (mode_ == RuntimeMode::kBaseline) {
-    std::optional<ftx::env::Message> msg = env_.transport->Deliver(pid_);
+    std::optional<ftx_sim::Message> msg = env_.network->Deliver(pid_);
     if (msg.has_value()) {
       ++stats_.receives;
       Charge(costs_.syscall_service);
-      env_.transport->ReleaseAllDelivered(pid_);
+      env_.network->ReleaseAllDelivered(pid_);
     }
     return msg;
   }
@@ -841,7 +839,7 @@ std::optional<ftx::env::Message> Runtime::TryReceive() {
       return std::nullopt;
     }
   }
-  std::optional<ftx::env::Message> msg = env_.transport->Deliver(pid_);
+  std::optional<ftx_sim::Message> msg = env_.network->Deliver(pid_);
   if (!msg.has_value()) {
     // A poll that finds nothing: whether the message had arrived yet is
     // scheduling-dependent, i.e. a transient ND event (select).
@@ -867,13 +865,13 @@ std::optional<ftx::env::Message> Runtime::TryReceive() {
     record.message = *msg;
     AppendNdLog(std::move(record), d.log_async);
     // The log now owns redelivery of this message.
-    env_.transport->DropNewestRetained(pid_, msg->id);
+    env_.network->DropNewestRetained(pid_, msg->id);
   }
   PostEvent(ftx_proto::AppEvent::kReceive, d, msg->id, logged, "recv");
   return msg;
 }
 
-const ftx::env::Message* Runtime::PeekMessage() {
+const ftx_sim::Message* Runtime::PeekMessage() {
   // During ND-log replay, the logged receive is what the next consuming
   // TryReceive returns; present it for inspection.
   if (mode_ != RuntimeMode::kBaseline && InNdReplay()) {
@@ -885,7 +883,7 @@ const ftx::env::Message* Runtime::PeekMessage() {
       return nullptr;  // the logged poll found nothing; replay agrees
     }
   }
-  return env_.transport->PeekNext(pid_);
+  return env_.network->PeekNext(pid_);
 }
 
 void Runtime::Compute(ftx::Duration work) {

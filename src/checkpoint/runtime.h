@@ -28,12 +28,13 @@
 #include <vector>
 
 #include "src/checkpoint/app.h"
-#include "src/env/env.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_event.h"
 #include "src/protocol/protocol.h"
 #include "src/recovery/output_recorder.h"
 #include "src/sim/kernel.h"
+#include "src/sim/network.h"
+#include "src/sim/simulator.h"
 #include "src/statemachine/trace.h"
 #include "src/storage/redo_log.h"
 #include "src/storage/stable_store.h"
@@ -43,6 +44,9 @@
 namespace ftx_causal {
 class CausalAudit;
 }  // namespace ftx_causal
+namespace ftx_store {
+class CommitPipeline;
+}  // namespace ftx_store
 
 namespace ftx_dc {
 
@@ -100,15 +104,37 @@ struct RuntimeStats {
   ftx::Duration recovery_time;
 };
 
-// Everything a Runtime needs from the surrounding computation now arrives
-// through the backend-agnostic ftx::env::Environment (src/env/env.h): a
-// Clock, a Transport, the kernel, trace/recorder/store/redo_log, the 2PC
-// hooks, and the optional observability sinks. Construct one with
-// Environment::Builder, which validates required dependencies by name.
+// Everything a Runtime needs from the surrounding computation. sim,
+// network, kernel and recorder are required in every mode; trace and store
+// (and a protocol) are additionally required in recoverable mode. The
+// Runtime constructor aborts naming the first missing one. Everything else
+// is optional.
+struct Environment {
+  ftx_sim::Simulator* sim = nullptr;
+  ftx_sim::Network* network = nullptr;
+  ftx_sim::KernelSim* kernel = nullptr;
+  ftx_sm::Trace* trace = nullptr;
+  ftx_rec::OutputRecorder* recorder = nullptr;
+  ftx_store::StableStore* store = nullptr;
+  ftx_store::RedoLog* redo_log = nullptr;
+  // Optional group-commit staging pipeline over redo_log. When present and
+  // its policy is enabled, the runtime stages commits here and a whole
+  // window is persisted under one sync pair (flushed before anything
+  // externally visible escapes — the Save-work invariant is untouched).
+  ftx_store::CommitPipeline* commit_pipeline = nullptr;
+  // Initiates a coordinated commit round over the given participant scope.
+  std::function<void(ftx_proto::CoordinationScope)> coordinated_commit;
+  // Atomic group id of the most recent coordinated round (2PC bookkeeping).
+  std::function<int64_t()> latest_atomic_group;
+  ftx_obs::Registry* metrics = nullptr;      // optional
+  ftx_obs::Tracer* tracer = nullptr;         // optional
+  ftx_causal::CausalAudit* audit = nullptr;  // optional
+};
+
 class Runtime : public ProcessEnv {
  public:
   Runtime(int pid, int num_processes, App* app, std::unique_ptr<ftx_proto::Protocol> protocol,
-          ftx::env::Environment env, RuntimeMode mode, RuntimeCosts costs = {});
+          Environment env, RuntimeMode mode, RuntimeCosts costs = {});
 
   // --- lifecycle (driven by the Computation runner) ---
 
@@ -171,7 +197,7 @@ class Runtime : public ProcessEnv {
   // --- ProcessEnv ---
   int pid() const override { return pid_; }
   int num_processes() const override { return num_processes_; }
-  ftx::TimePoint Now() const override { return env_.clock->Now(); }
+  ftx::TimePoint Now() const override { return env_.sim->Now(); }
   ftx_vista::Segment& segment() override { return *segment_; }
   ftx_vista::SegmentHeap& heap() override { return *heap_; }
   ftx::TimePoint GetTimeOfDay() override;
@@ -179,8 +205,8 @@ class Runtime : public ProcessEnv {
   std::optional<ftx::Bytes> ReadUserInput() override;
   void Print(ftx::Bytes payload) override;
   void Send(int dst, ftx::Bytes payload) override;
-  std::optional<ftx::env::Message> TryReceive() override;
-  const ftx::env::Message* PeekMessage() override;
+  std::optional<ftx_sim::Message> TryReceive() override;
+  const ftx_sim::Message* PeekMessage() override;
   void Compute(ftx::Duration work) override;
   ftx::Result<int> Open(const std::string& path, bool writable) override;
   ftx::Status Close(int fd) override;
@@ -199,7 +225,7 @@ class Runtime : public ProcessEnv {
     enum class Kind : uint8_t { kUserInput, kReceive, kTimeOfDay, kEmptyPoll, kSignal };
     Kind kind = Kind::kUserInput;
     ftx::Bytes payload;          // input bytes
-    ftx::env::Message message;   // for receives
+    ftx_sim::Message message;    // for receives
     ftx::TimePoint time_value;  // for gettimeofday
 
     int64_t CostBytes() const {
@@ -298,7 +324,7 @@ class Runtime : public ProcessEnv {
   int num_processes_;
   App* app_;
   std::unique_ptr<ftx_proto::Protocol> protocol_;
-  ftx::env::Environment env_;
+  Environment env_;
   RuntimeMode mode_;
   RuntimeCosts costs_;
 

@@ -18,11 +18,7 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
   const ftx_sim::ShardPlan plan = ftx_sim::ShardPlan::Uniform(n, options_.shards);
   sim_ = std::make_unique<ftx_sim::Simulator>(options_.seed, plan);
   network_ = std::make_unique<ftx_sim::Network>(sim_.get(), n, options_.network);
-  // The runtimes consume the simulator/network only through the env::sim
-  // adapters (pure forwarding — the Computation runner IS the sim backend).
-  env_clock_ = std::make_unique<ftx::env::SimClock>(sim_.get());
-  env_transport_ = std::make_unique<ftx::env::SimTransport>(network_.get());
-  kernel_ = std::make_unique<ftx_sim::KernelSim>(env_clock_.get(), plan, options_.kernel_limits);
+  kernel_ = std::make_unique<ftx_sim::KernelSim>(sim_.get(), plan, options_.kernel_limits);
   // The audit needs full vector clocks, so it overrides lean_trace.
   ftx_sm::TraceOptions trace_options;
   trace_options.record_clocks = !options_.lean_trace || options_.audit;
@@ -78,7 +74,7 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
     tsdb_->SetMeta("seed", static_cast<int64_t>(options_.seed));
     // Core lanes: simulator progress, fleet-wide DC activity, and failure
     // state. Every one is a simulated quantity — invariant across shard
-    // layouts — so the default export honors the byte-identity contract.
+    // layouts — so the export honors the byte-identity contract.
     tsdb_->AddCounter("sim.events_executed", [this]() { return sim_->events_executed(); });
     tsdb_->AddCounter("dc.commits", [this]() {
       int64_t total = 0;
@@ -102,15 +98,6 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
       }
       return static_cast<double>(down);
     });
-    if (options_.timeseries_options.shard_lanes && sim_->num_shards() > 1) {
-      // Layout-dependent lanes, opt-in only (see TimeSeriesOptions).
-      tsdb_->AddCounter("sim.cross_shard_events",
-                        [this]() { return sim_->cross_shard_events(); });
-      for (int s = 0; s < sim_->num_shards(); ++s) {
-        tsdb_->AddCounter("shard" + std::to_string(s) + ".events_executed",
-                          [this, s]() { return sim_->ShardEventsExecuted(s); });
-      }
-    }
     sim_->SetEventHook(
         [this](int shard, TimePoint t) { (void)shard; tsdb_->OnSimTime(t.nanos()); });
   }
@@ -156,27 +143,22 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
       commit_pipelines_.push_back(nullptr);
     }
 
-    ftx::env::Environment::Builder env_builder;
-    env_builder.WithClock(env_clock_.get())
-        .WithTransport(env_transport_.get())
-        .WithKernel(kernel_.get())
-        .WithRecorder(&recorder_)
-        .WithStore(stores_.back().get())
-        .WithRedoLog(redo_log)
-        .WithCommitPipeline(commit_pipeline)
-        .WithCoordinatedCommit(
-            [this, pid](ftx_proto::CoordinationScope scope) { CoordinatedCommit(pid, scope); })
-        .WithLatestAtomicGroup([this]() { return next_atomic_group_ - 1; })
-        .WithMetrics(&metrics_)
-        .WithTracer(&tracer_)
-        .WithAudit(audit_.get());
-    ftx::env::Environment env;
-    if (recoverable) {
-      env_builder.WithTrace(trace_.get());
-      env = env_builder.BuildRecoverable();
-    } else {
-      env = env_builder.Build();
-    }
+    ftx_dc::Environment env{
+        .sim = sim_.get(),
+        .network = network_.get(),
+        .kernel = kernel_.get(),
+        .trace = recoverable ? trace_.get() : nullptr,
+        .recorder = &recorder_,
+        .store = stores_.back().get(),
+        .redo_log = redo_log,
+        .commit_pipeline = commit_pipeline,
+        .coordinated_commit =
+            [this, pid](ftx_proto::CoordinationScope scope) { CoordinatedCommit(pid, scope); },
+        .latest_atomic_group = [this]() { return next_atomic_group_ - 1; },
+        .metrics = &metrics_,
+        .tracer = &tracer_,
+        .audit = audit_.get(),
+    };
     const std::string prefix = "p" + std::to_string(pid) + ".";
     if (disks_.back() != nullptr) {
       disks_.back()->BindMetrics(&metrics_, prefix);

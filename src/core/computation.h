@@ -20,7 +20,6 @@
 
 #include "src/checkpoint/app.h"
 #include "src/checkpoint/runtime.h"
-#include "src/env/sim_env.h"
 #include "src/obs/causal/audit.h"
 #include "src/obs/causal/critical_path.h"
 #include "src/obs/metrics.h"
@@ -109,8 +108,7 @@ struct ComputationOptions {
   // counter/gauge series on a fixed sim-time cadence, driven by the
   // simulator's pre-event hook. Strictly observational (the hook only reads
   // state), so simulated quantities are byte-identical with it on or off,
-  // and the sampled series itself is byte-identical for any shards value
-  // unless timeseries_options.shard_lanes opts into per-shard columns.
+  // and the sampled series itself is byte-identical for any shards value.
   // Enabled by `timeseries` or by a non-empty timeseries_path (the JSONL
   // export Run() writes there).
   bool timeseries = false;
@@ -225,9 +223,6 @@ class Computation {
 
   std::unique_ptr<ftx_sim::Simulator> sim_;
   std::unique_ptr<ftx_sim::Network> network_;
-  // env::sim adapters the runtimes consume the simulator/network through.
-  std::unique_ptr<ftx::env::SimClock> env_clock_;
-  std::unique_ptr<ftx::env::SimTransport> env_transport_;
   std::unique_ptr<ftx_sim::KernelSim> kernel_;
   std::unique_ptr<ftx_sm::Trace> trace_;
   ftx_rec::OutputRecorder recorder_;

@@ -6,12 +6,12 @@
 
 namespace ftx_sim {
 
-KernelSim::KernelSim(ftx::env::Clock* clock, int num_processes, KernelLimits limits)
-    : KernelSim(clock, ShardPlan::Single(num_processes), limits) {}
+KernelSim::KernelSim(Simulator* sim, int num_processes, KernelLimits limits)
+    : KernelSim(sim, ShardPlan::Single(num_processes), limits) {}
 
-KernelSim::KernelSim(ftx::env::Clock* clock, ShardPlan plan, KernelLimits limits)
-    : clock_(clock), plan_(std::move(plan)), limits_(limits) {
-  FTX_CHECK(clock != nullptr);
+KernelSim::KernelSim(Simulator* sim, ShardPlan plan, KernelLimits limits)
+    : sim_(sim), plan_(std::move(plan)), limits_(limits) {
+  FTX_CHECK(sim != nullptr);
   ftx::Status valid = ValidateShardPlan(plan_);
   FTX_CHECK_MSG(valid.ok(), "invalid shard plan: %s", valid.message().c_str());
   shards_.resize(static_cast<size_t>(plan_.num_shards()));
@@ -223,11 +223,10 @@ ftx::Result<int64_t> KernelSim::Write(int pid, int fd, int64_t nbytes) {
 ftx::TimePoint KernelSim::GetTimeOfDay(int pid) {
   CountSyscall(pid);
   // The perturbation models clock-read granularity; more importantly it is
-  // drawn from the clock's noise stream (the simulator's RNG under env::sim),
-  // so a reexecuting process sees a different value — the definition of a
-  // transient ND event.
-  int64_t noise = static_cast<int64_t>(clock_->NextNoise(1000));
-  return clock_->Now() + ftx::Nanoseconds(noise);
+  // drawn from the simulator's RNG stream, so a reexecuting process sees a
+  // different value — the definition of a transient ND event.
+  int64_t noise = static_cast<int64_t>(sim_->rng().NextBounded(1000));
+  return sim_->Now() + ftx::Nanoseconds(noise);
 }
 
 ftx::Status KernelSim::ReconstructFor(int pid, size_t record_count) {

@@ -34,9 +34,9 @@
 
 #include "src/common/status.h"
 #include "src/common/sim_time.h"
-#include "src/env/env.h"
 #include "src/obs/metrics.h"
 #include "src/sim/partition.h"
+#include "src/sim/simulator.h"
 
 namespace ftx_sim {
 
@@ -78,15 +78,14 @@ struct KernelLimits {
 
 class KernelSim {
  public:
-  // The kernel is backend-agnostic: it only needs a clock (time-of-day and
-  // its transient-ND perturbation source), not the simulator itself.
+  // The simulator supplies time-of-day and its transient-ND perturbation.
   // Monolithic layout: one state block owning all pids.
-  KernelSim(ftx::env::Clock* clock, int num_processes, KernelLimits limits = {});
+  KernelSim(Simulator* sim, int num_processes, KernelLimits limits = {});
 
   // Partitioned layout: one state block per shard of `plan`. Syscall
   // results are identical for every plan — only locality and the tallies
   // reported per shard change.
-  KernelSim(ftx::env::Clock* clock, ShardPlan plan, KernelLimits limits);
+  KernelSim(Simulator* sim, ShardPlan plan, KernelLimits limits);
 
   // --- syscalls (all record into the process's replay log) ---
 
@@ -145,7 +144,7 @@ class KernelSim {
   std::vector<SyscallRecord>& LogOf(int pid);
   void CountSyscall(int pid);
 
-  ftx::env::Clock* clock_;
+  Simulator* sim_;
   ShardPlan plan_;
   KernelLimits limits_;
   int64_t syscalls_ = 0;

@@ -85,14 +85,6 @@ const Message* Network::PeekNext(int dst) const {
   return box.empty() ? nullptr : &box.front();
 }
 
-void Network::ReleaseDeliveredUpTo(int dst, int64_t message_id) {
-  FTX_CHECK(dst >= 0 && dst < num_processes());
-  auto& buffer = recovery_buffer_[static_cast<size_t>(dst)];
-  while (!buffer.empty() && buffer.front().id <= message_id) {
-    buffer.pop_front();
-  }
-}
-
 void Network::ReleaseAllDelivered(int dst) {
   FTX_CHECK(dst >= 0 && dst < num_processes());
   recovery_buffer_[static_cast<size_t>(dst)].clear();

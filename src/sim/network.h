@@ -7,9 +7,9 @@
 // Recovery support (§2.1 of the paper): for receive events to be redoable,
 // messages must be re-deliverable after a rollback. The network therefore
 // retains every delivered message in a per-receiver recovery buffer until
-// the receiver commits past it (ReleaseDeliveredUpTo). On rollback, the
-// receiver requeues its retained messages (RequeueRetained) so reexecution
-// receives them again, in order.
+// the receiver commits (ReleaseAllDelivered). On rollback, the receiver
+// requeues its retained messages (RequeueRetained) so reexecution receives
+// them again, in order.
 
 #ifndef FTX_SRC_SIM_NETWORK_H_
 #define FTX_SRC_SIM_NETWORK_H_
@@ -24,15 +24,20 @@
 
 #include "src/common/bytes.h"
 #include "src/common/sim_time.h"
-#include "src/env/env.h"
 #include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 
 namespace ftx_sim {
 
-// The message type now lives on the backend-agnostic seam
-// (src/env/env.h); this alias keeps existing code compiling unchanged.
-using Message = ftx::env::Message;
+// A message in flight or delivered.
+struct Message {
+  int64_t id = -1;
+  int src = -1;
+  int dst = -1;
+  ftx::Bytes payload;
+  ftx::TimePoint sent_at;
+  ftx::TimePoint delivered_at;
+};
 
 struct NetworkOptions {
   ftx::Duration base_latency = ftx::Microseconds(50);
@@ -59,10 +64,6 @@ class Network {
 
   // MSG_PEEK: the next message for dst without consuming it, or nullptr.
   const Message* PeekNext(int dst) const;
-
-  // Called when dst commits having consumed messages up to and including
-  // `message_id`: retained copies at or before it are discarded.
-  void ReleaseDeliveredUpTo(int dst, int64_t message_id);
 
   // Called when dst commits: every message it has consumed so far is covered
   // by the commit, so all retained copies are discarded.

@@ -93,49 +93,11 @@ int64_t RedoLog::AppendBatch(std::vector<RedoRecord> batch) {
     journal_->Barrier(last_sequence);
   }
 
-  if (medium_ != nullptr) {
-    // Real durability through the env seam: the encoded records are
-    // buffered, then synced once for the window — the same append-then-sync
-    // discipline the journal models, but against a backend's actual
-    // StableMedium (a host file under env::threads). A crash between the
-    // two genuinely loses the whole window; a crash mid-append loses a
-    // suffix of it (append order = sequence order, so survivors are always
-    // a prefix).
-    for (const RedoRecord& record : batch) {
-      ftx::Bytes encoded = EncodeRecord(record);
-      medium_->Append(encoded.data(), encoded.size());
-    }
-    medium_->Sync();
-  }
-
   ++window_count_;
   for (RedoRecord& record : batch) {
     records_.push_back(std::move(record));
   }
   return payload_total;
-}
-
-void RedoLog::AttachMedium(ftx::env::StableMedium* medium) { medium_ = medium; }
-
-int64_t RedoLog::RestoreFromMedium(const ftx::env::StableMedium& medium) {
-  ftx::Bytes durable;
-  medium.ReadDurable(&durable);
-  std::vector<RedoRecord> survivors;
-  int64_t offset = 0;
-  const auto size = static_cast<int64_t>(durable.size());
-  while (offset < size) {
-    RedoRecord record;
-    int64_t next_offset = 0;
-    if (DecodeRecordSpan(durable.data(), size, offset, &record, &next_offset) !=
-        DecodeStatus::kOk) {
-      break;  // torn tail: the in-flight record that never synced
-    }
-    survivors.push_back(std::move(record));
-    offset = next_offset;
-  }
-  const auto count = static_cast<int64_t>(survivors.size());
-  RestoreForRecovery(std::move(survivors));
-  return count;
 }
 
 void RedoLog::TruncateThrough(int64_t sequence) {

@@ -24,7 +24,6 @@
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
-#include "src/env/env.h"
 #include "src/obs/metrics.h"
 
 namespace ftx_store {
@@ -117,19 +116,6 @@ class RedoLog {
   // images (see src/storage/log_image.h). nullptr detaches.
   void AttachJournal(WriteJournal* journal);
 
-  // Attaches a backend StableMedium (src/env/env.h): every Append then also
-  // encodes the record (log_image framing) and appends + syncs it to the
-  // medium, giving non-simulated backends a genuinely durable log. nullptr
-  // detaches. Orthogonal to the journal (which models sector-level I/O for
-  // the torture engine); simulated quantities never depend on the medium.
-  void AttachMedium(ftx::env::StableMedium* medium);
-
-  // Rebuilds the record chain from a medium's durable bytes: decodes whole
-  // valid records in order, stops at the first torn/corrupt tail (the
-  // in-flight record a crash cut short), and installs the survivors via
-  // RestoreForRecovery. Returns the number of records restored.
-  int64_t RestoreFromMedium(const ftx::env::StableMedium& medium);
-
   // Replaces the in-memory record chain with what survived on disk — the
   // records a SurvivorLog decoded from a crash-state image — so a fresh
   // computation's Recover() sees exactly the survivor state. Sequences must
@@ -156,7 +142,6 @@ class RedoLog {
   // Journaling state: where the next record lands in the on-disk image, the
   // oldest sequence the record area still vouches for, and the byte offset
   // of every live record (so truncation can narrow log_start exactly).
-  ftx::env::StableMedium* medium_ = nullptr;
   WriteJournal* journal_ = nullptr;
   int64_t journal_tail_ = 0;
   int64_t journal_log_start_ = 0;

@@ -1,7 +1,6 @@
 // Tests for ftx::prof, the host-time scoped profiler: scope aggregation
 // into collapsed stacks, inactive scopes being no-ops, activation nesting,
-// leaf aggregation, the export surfaces (collapsed text round-trip, JSON,
-// registry counters, Chrome trace), TrialPool propagation with
+// leaf aggregation, the collapsed-text export, TrialPool propagation with
 // jobs-independent scope counts, host metadata, and the recovery-path
 // instrumentation actually firing during a crash-and-recover run.
 
@@ -18,13 +17,11 @@
 #include "src/core/computation.h"
 #include "src/core/experiment.h"
 #include "src/core/parallel.h"
-#include "src/obs/metrics.h"
 #include "src/obs/prof/prof.h"
 
 namespace {
 
 using ftx_prof::Activation;
-using ftx_prof::ParseCollapsed;
 using ftx_prof::Profile;
 using ftx_prof::Profiler;
 using ftx_prof::Scope;
@@ -165,81 +162,11 @@ TEST(ProfExport, CollapsedTextRoundTrips) {
   std::string counts = profile.ToCollapsed(/*weight_ns=*/false);
   EXPECT_EQ(counts, "phase 5\nphase;phase.step 5\n");
 
-  // ns-weighted text parses back into the same stacks with the weights in
-  // total_ns.
-  std::string weighted = profile.ToCollapsed(/*weight_ns=*/true);
-  Profile parsed;
-  std::string error;
-  ASSERT_TRUE(ParseCollapsed(weighted, &parsed, &error)) << error;
-  ASSERT_EQ(parsed.entries.size(), profile.entries.size());
-  for (size_t i = 0; i < parsed.entries.size(); ++i) {
-    EXPECT_EQ(parsed.entries[i].stack, profile.entries[i].stack);
-    EXPECT_EQ(parsed.entries[i].total_ns, profile.entries[i].total_ns);
-  }
-}
-
-TEST(ProfExport, ParseCollapsedRejectsMalformedLines) {
-  Profile parsed;
-  std::string error;
-  EXPECT_FALSE(ParseCollapsed("stack_without_weight\n", &parsed, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(ParseCollapsed("stack notanumber\n", &parsed, &error));
-  // Empty input is a valid (empty) profile.
-  EXPECT_TRUE(ParseCollapsed("", &parsed, &error));
-  EXPECT_TRUE(parsed.empty());
-}
-
-TEST(ProfExport, JsonCarriesSchemaAndEntries) {
-  Profiler profiler;
-  {
-    Activation on(&profiler);
-    Scope scope("solo");
-    Spin();
-  }
-  Profile profile = profiler.Merge();
-  std::string json = profile.ToJson().Dump(1);
-  EXPECT_NE(json.find("\"schema\""), std::string::npos);
-  EXPECT_NE(json.find(ftx_prof::kProfSchemaName), std::string::npos);
-  EXPECT_NE(json.find("\"solo\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\""), std::string::npos);
-  EXPECT_NE(json.find("\"total_ns\""), std::string::npos);
-}
-
-TEST(ProfExport, PublishToRegistersCounters) {
-  Profiler profiler;
-  {
-    Activation on(&profiler);
-    for (int i = 0; i < 4; ++i) {
-      Scope scope("published");
-      Spin();
-    }
-  }
-  Profile profile = profiler.Merge();
-  ftx_obs::Registry registry;
-  profile.PublishTo(&registry);
-  ftx_obs::MetricsSnapshot snapshot = registry.Snapshot();
-  const ftx_obs::MetricValue* count = snapshot.Find("prof.published.count");
-  const ftx_obs::MetricValue* ns = snapshot.Find("prof.published.ns");
-  ASSERT_NE(count, nullptr);
-  ASSERT_NE(ns, nullptr);
-  EXPECT_EQ(count->counter, 4);
-  EXPECT_GT(ns->counter, 0);
-}
-
-TEST(ProfExport, ChromeTraceEmitsCompleteEvents) {
-  Profiler profiler;
-  {
-    Activation on(&profiler);
-    Scope outer("root");
-    Scope inner("child");
-    Spin();
-  }
-  std::string trace = profiler.Merge().ToChromeTrace().Dump();
-  EXPECT_NE(trace.find("traceEvents"), std::string::npos);
-  EXPECT_NE(trace.find("\"ph\""), std::string::npos);
-  EXPECT_NE(trace.find("\"X\""), std::string::npos);
-  EXPECT_NE(trace.find("\"root\""), std::string::npos);
-  EXPECT_NE(trace.find("\"child\""), std::string::npos);
+  // ns-weighted text (what --prof writes) carries each entry's total_ns.
+  ASSERT_EQ(profile.entries.size(), 2u);
+  EXPECT_EQ(profile.ToCollapsed(/*weight_ns=*/true),
+            "phase " + std::to_string(profile.entries[0].total_ns) + "\nphase;phase.step " +
+                std::to_string(profile.entries[1].total_ns) + "\n");
 }
 
 // The merged scope counts must not depend on how trials were sharded

@@ -1,6 +1,7 @@
 // Tests for the Discount Checking runtime: commit/rollback round trips,
-// kernel-state reconstruction, ND-log replay, DC-disk redo recovery, and
-// cost accounting — driven through a purpose-built test application.
+// kernel-state reconstruction, ND-log replay, DC-disk redo recovery, cost
+// accounting, and the constructor's named-field dependency checks — driven
+// through a purpose-built test application.
 
 #include <gtest/gtest.h>
 
@@ -305,6 +306,78 @@ TEST(Runtime, RecoverableSlowerThanBaseline) {
 
   EXPECT_GT((rec.end_time - ftx::TimePoint()).nanos(),
             (base.end_time - ftx::TimePoint()).nanos());
+}
+
+// Every dependency a Runtime can require, each valid. Every other test
+// builds its runtimes through Computation; these construct one directly.
+struct RuntimeDependencies {
+  ftx_sim::Simulator sim{1};
+  ftx_sim::Network network{&sim, 1};
+  ftx_sim::KernelSim kernel{&sim, 1};
+  ftx_sm::Trace trace{1};
+  ftx_rec::OutputRecorder recorder;
+  ftx_store::RioStore store;
+  CounterApp app;
+
+  ftx_dc::Environment Full() {
+    ftx_dc::Environment env;
+    env.sim = &sim;
+    env.network = &network;
+    env.kernel = &kernel;
+    env.trace = &trace;
+    env.recorder = &recorder;
+    env.store = &store;
+    return env;
+  }
+
+  template <typename Field>
+  ftx_dc::Environment Without(Field ftx_dc::Environment::*field) {
+    ftx_dc::Environment env = Full();
+    env.*field = nullptr;
+    return env;
+  }
+
+  void Construct(ftx_dc::Environment env, ftx_dc::RuntimeMode mode, bool with_protocol = true) {
+    ftx_dc::Runtime runtime(0, 1, &app,
+                            with_protocol ? ftx_proto::MakeProtocolByName("cpvs") : nullptr,
+                            std::move(env), mode);
+  }
+};
+
+TEST(Runtime, ConstructsWithEveryRequiredDependency) {
+  RuntimeDependencies deps;
+  deps.Construct(deps.Full(), ftx_dc::RuntimeMode::kRecoverable);
+  // Baseline mode needs no trace, store or protocol.
+  ftx_dc::Environment env = deps.Full();
+  env.trace = nullptr;
+  env.store = nullptr;
+  deps.Construct(env, ftx_dc::RuntimeMode::kBaseline, /*with_protocol=*/false);
+}
+
+TEST(RuntimeDeathTest, NamesEachMissingRequiredDependency) {
+  RuntimeDependencies deps;
+  for (ftx_dc::RuntimeMode mode :
+       {ftx_dc::RuntimeMode::kBaseline, ftx_dc::RuntimeMode::kRecoverable}) {
+    EXPECT_DEATH(deps.Construct(deps.Without(&ftx_dc::Environment::sim), mode),
+                 "missing required dependency 'sim'");
+    EXPECT_DEATH(deps.Construct(deps.Without(&ftx_dc::Environment::network), mode),
+                 "missing required dependency 'network'");
+    EXPECT_DEATH(deps.Construct(deps.Without(&ftx_dc::Environment::kernel), mode),
+                 "missing required dependency 'kernel'");
+    EXPECT_DEATH(deps.Construct(deps.Without(&ftx_dc::Environment::recorder), mode),
+                 "missing required dependency 'recorder'");
+  }
+}
+
+TEST(RuntimeDeathTest, RecoverableModeAlsoNamesMissingTraceStoreAndProtocol) {
+  RuntimeDependencies deps;
+  const ftx_dc::RuntimeMode recoverable = ftx_dc::RuntimeMode::kRecoverable;
+  EXPECT_DEATH(deps.Construct(deps.Without(&ftx_dc::Environment::trace), recoverable),
+               "recoverable mode requires dependency 'trace'");
+  EXPECT_DEATH(deps.Construct(deps.Without(&ftx_dc::Environment::store), recoverable),
+               "recoverable mode requires dependency 'store'");
+  EXPECT_DEATH(deps.Construct(deps.Full(), recoverable, /*with_protocol=*/false),
+               "recoverable mode requires dependency 'protocol'");
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ TEST(BenchUsage, GeneratedTextCoversEveryFlag) {
   // doc edited without its flag) fails here.
   for (const char* needle : {"--full", "--scale N", "--jobs N", "--seed S", "--json PATH",
                              "--trace PATH", "--audit", "--log-level LEVEL", "--repeat N",
-                             "--prof PATH", "--backend NAME", "--shards N"}) {
+                             "--prof PATH", "--shards N"}) {
     EXPECT_NE(usage.find(needle), std::string::npos) << "missing from usage: " << needle;
   }
   EXPECT_NE(usage.find("live causal audit"), std::string::npos);
@@ -33,7 +33,7 @@ TEST(BenchUsage, ParseFillsOptionsFromArgv) {
   const char* argv[] = {"bench",  "--full", "--scale",     "40",   "--jobs", "3",
                         "--seed", "99",     "--json",      "r.json", "--trace", "t.json",
                         "--audit", "--log-level", "debug", "--repeat", "5",
-                        "--prof", "p.collapsed", "--backend", "threads", "--shards", "16"};
+                        "--prof", "p.collapsed", "--shards", "16"};
   ftx_bench::BenchOptions options =
       ftx_bench::ParseBenchOptions(static_cast<int>(std::size(argv)),
                                    const_cast<char**>(argv));
@@ -47,7 +47,6 @@ TEST(BenchUsage, ParseFillsOptionsFromArgv) {
   EXPECT_EQ(options.log_level, "debug");
   EXPECT_EQ(options.repeat, 5);
   EXPECT_EQ(options.prof_path, "p.collapsed");
-  EXPECT_EQ(options.backend, "threads");
   EXPECT_EQ(options.shards, 16);
   EXPECT_EQ(ftx::GetLogLevel(), ftx::LogLevel::kDebug);
   ftx::SetLogLevel(ftx::LogLevel::kWarning);  // restore the default
@@ -67,7 +66,6 @@ TEST(BenchUsage, DefaultsLeaveEverythingOff) {
   EXPECT_TRUE(options.log_level.empty());
   EXPECT_EQ(options.repeat, 1);
   EXPECT_TRUE(options.prof_path.empty());
-  EXPECT_TRUE(options.backend.empty());
   EXPECT_EQ(options.shards, 0);  // 0 = the bench's own choice
 }
 

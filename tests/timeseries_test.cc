@@ -326,21 +326,6 @@ TEST(TimeSeriesEndToEnd, TelemetryNeverMovesSimulatedQuantities) {
   EXPECT_EQ(on.end_ns, off.end_ns);
 }
 
-TEST(TimeSeriesEndToEnd, ShardLanesAreOptInAndLayoutDependent) {
-  ftx::ComputationOptions options = FleetOptions(2);
-  options.timeseries = true;
-  options.timeseries_options.shard_lanes = true;
-  ftx::Computation computation(options, ftx_apps::MakeFleetApps(SmallFleet()));
-  computation.Run();
-  const std::string jsonl = computation.timeseries()->ToJsonl();
-  EXPECT_NE(jsonl.find("shard0.events_executed"), std::string::npos);
-  EXPECT_NE(jsonl.find("sim.cross_shard_events"), std::string::npos);
-  // And the default export carries neither (the byte-identity contract).
-  FleetRun plain = RunCrashedFleet(/*shards=*/2, /*telemetry=*/true);
-  EXPECT_EQ(plain.jsonl.find("shard0."), std::string::npos);
-  EXPECT_EQ(plain.jsonl.find("cross_shard"), std::string::npos);
-}
-
 // MeasureOverhead hands the telemetry file to the recoverable run only, so
 // the baseline half can never race it (satellite pin for the bench wiring).
 TEST(TimeSeriesEndToEnd, MeasureOverheadSamplesRecoverableRunOnly) {
