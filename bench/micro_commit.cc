@@ -1,20 +1,24 @@
 // Micro-benchmarks (google-benchmark) of the commit-path primitives behind
 // the Fig. 8 numbers: Vista write barriers and undo logging, commit/abort,
 // heap churn, the dangerous-paths coloring algorithm, the Save-work
-// checker, and simulated-cost lookups for both stable stores.
+// checker, trace appends of a fleet 2PC round, and simulated-cost lookups
+// for both stable stores.
 //
 // These measure REAL host CPU time of the library's mechanisms (unlike the
 // fig8/table binaries, which report simulated time from the cost models).
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/common/crc32.h"
 #include "src/common/rng.h"
+#include "src/obs/causal/critical_path.h"
 #include "src/statemachine/dangerous_paths.h"
 #include "src/statemachine/invariants.h"
 #include "src/statemachine/random_model.h"
+#include "src/statemachine/trace.h"
 #include "src/storage/commit_pipeline.h"
 #include "src/storage/redo_log.h"
 #include "src/storage/stable_store.h"
@@ -276,6 +280,64 @@ void BM_SaveWorkChecker(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * trace.TotalEvents());
 }
 BENCHMARK(BM_SaveWorkChecker)->Arg(50)->Arg(200);
+
+// One fleet-shaped 2PC round per iteration, on a lean trace of the fleet's
+// 5,016 processes (16 servers + 5,000 clients) with the critical-path
+// tracker attached, as bench/fleet_faults runs it. The coordinator has
+// crashed, so every prepare and ack is a tainted send, as after a server
+// crash in the fleet. Each participant does send, receive, commit, send,
+// receive with coordination-range message ids (from 1e15), and the
+// coordinator commits last. A fresh trace every kRoundsPerTrace rounds
+// (untimed) keeps the per-process event counts near a fleet run's.
+void BM_TraceAppend2pc(benchmark::State& state) {
+  constexpr int kProcesses = 5016;
+  constexpr int kRoundsPerTrace = 16;
+  constexpr int64_t kFirstCoordId = 1000000000000000;
+  ftx_sm::TraceOptions lean;
+  lean.record_clocks = false;
+  int64_t now_ns = 0;
+  int64_t next_id = kFirstCoordId;
+  int rounds = 0;
+  std::unique_ptr<ftx_causal::CriticalPathTracker> tracker;
+  std::unique_ptr<ftx_sm::Trace> trace;
+  auto fresh = [&]() {
+    trace.reset();
+    tracker = std::make_unique<ftx_causal::CriticalPathTracker>(kProcesses);
+    tracker->SetTimeSource([&now_ns]() { return now_ns; });
+    tracker->OnCrash(0);
+    trace = std::make_unique<ftx_sm::Trace>(kProcesses, lean);
+    trace->SetAppendObserver([&tracker](ftx_sm::EventRef ref, const ftx_sm::TraceEvent& ev,
+                                        const ftx_sm::VectorClock&) {
+      tracker->OnTraceEvent(ref, ev);
+    });
+    next_id = kFirstCoordId;
+    rounds = 0;
+  };
+  fresh();
+  for (auto _ : state) {
+    if (rounds == kRoundsPerTrace) {
+      state.PauseTiming();
+      fresh();
+      state.ResumeTiming();
+    }
+    ++rounds;
+    const int64_t group = rounds;
+    for (ftx_sm::ProcessId p = 1; p < kProcesses; ++p) {
+      ++now_ns;
+      const int64_t prepare = next_id++;
+      trace->Append(0, ftx_sm::EventKind::kSend, prepare, false, "2pc");
+      trace->Append(p, ftx_sm::EventKind::kReceive, prepare, true, "2pc");
+      trace->Append(p, ftx_sm::EventKind::kCommit, -1, false, "", group);
+      const int64_t ack = next_id++;
+      trace->Append(p, ftx_sm::EventKind::kSend, ack, false, "2pc");
+      trace->Append(0, ftx_sm::EventKind::kReceive, ack, true, "2pc");
+    }
+    trace->Append(0, ftx_sm::EventKind::kCommit, -1, false, "", group);
+    benchmark::DoNotOptimize(trace->NumEvents(0));
+  }
+  state.SetItemsProcessed(state.iterations() * (5 * (kProcesses - 1) + 1));
+}
+BENCHMARK(BM_TraceAppend2pc);
 
 void BM_RioPersistCostModel(benchmark::State& state) {
   ftx_store::RioStore rio;

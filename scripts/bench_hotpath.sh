@@ -12,10 +12,11 @@
 #
 # The acceptance gates checked into meta.acceptance mirror the overhaul's
 # targets: BM_SegmentWriteBarrier >= 3x and BM_SegmentCommit/1024 >= 2x over
-# the baseline. BASELINE_CPU_NS values are absolute nanoseconds measured on
-# the original development host, so speedups (and the gates) are only
-# meaningful on comparable hardware — treat cross-machine numbers as a
-# trajectory, not a comparison. On a full-scale run (BENCH_MIN_TIME >= 0.5)
+# the baseline, and BM_TraceAppend2pc >= 2x over the trace before its
+# 32-byte event layout and paged send pairing. BASELINE_CPU_NS values are
+# absolute nanoseconds measured on the original development host, so
+# speedups (and the gates) are only meaningful on comparable hardware —
+# treat cross-machine numbers as a trajectory, not a comparison. On a full-scale run (BENCH_MIN_TIME >= 0.5)
 # a failed gate exits nonzero; quick smoke runs (like the ctest fixture at
 # 0.01) report PASS/FAIL but always exit 0, since timings at tiny min_time
 # are too noisy to gate on. Validate the output with
@@ -37,7 +38,8 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 "$BIN" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
-  --benchmark_filter='BM_Segment|BM_RedoRecordAppend|BM_Crc32|BM_GroupCommit' >"$RAW"
+  --benchmark_filter='BM_Segment|BM_RedoRecordAppend|BM_Crc32|BM_GroupCommit|BM_TraceAppend2pc' \
+  >"$RAW"
 
 python3 - "$RAW" "$OUT" "$MIN_TIME" "$BUILD_DIR" <<'PYEOF'
 import json
@@ -117,6 +119,19 @@ PR3_ACCEPTANCE = [
     ("BM_SegmentAbort/256", 3.0),
 ]
 
+# Trace-append cpu-time baseline (ns) of one fleet 2PC round, measured with
+# this benchmark's code on the trace as it was before the diet (an ~80-byte
+# TraceEvent with a std::string label, std::map send pairing in the trace
+# and in the critical-path tracker) on a 4-vCPU 2.1 GHz Xeon VM, gcc 12,
+# RelWithDebInfo. The diet must beat it >= 2x.
+PRE_DIET_CPU_NS = {
+    "BM_TraceAppend2pc": 4570706.0,
+}
+
+PRE_DIET_ACCEPTANCE = [
+    ("BM_TraceAppend2pc", 2.0),
+]
+
 # Same-run ratio gates: numerator row / denominator row on the named
 # counter. Host-independent (both sides run on this machine, this build).
 RATIO_ACCEPTANCE = [
@@ -159,6 +174,10 @@ for b in doc.get("benchmarks", []):
     if pr3 is not None:
         row["pr3_cpu_time_ns"] = pr3
         row["pr3_speedup"] = pr3 / row["cpu_time_ns"]
+    pre_diet = PRE_DIET_CPU_NS.get(b["name"])
+    if pre_diet is not None:
+        row["pre_diet_cpu_time_ns"] = pre_diet
+        row["pre_diet_speedup"] = pre_diet / row["cpu_time_ns"]
     rows.append(row)
 
 if not rows:
@@ -185,6 +204,15 @@ for name, required in PR3_ACCEPTANCE:
     acceptance[key + "_required"] = required
     acceptance[key + "_pass"] = got is not None and got >= required
     gates.append((name + " (vs PR3)", got, required))
+
+for name, required in PRE_DIET_ACCEPTANCE:
+    row = by_name.get(name)
+    got = row.get("pre_diet_speedup") if row else None
+    key = name.replace("BM_", "").replace("/", "_") + "_vs_pre_diet"
+    acceptance[key + "_speedup"] = got if got is not None else -1.0
+    acceptance[key + "_required"] = required
+    acceptance[key + "_pass"] = got is not None and got >= required
+    gates.append((name + " (vs pre-diet trace)", got, required))
 
 for key, num_name, den_name, counter, required in RATIO_ACCEPTANCE:
     num = by_name.get(num_name, {}).get(counter)

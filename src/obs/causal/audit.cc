@@ -72,7 +72,7 @@ void CausalAudit::OnTraceEvent(ftx_sm::EventRef ref, const ftx_sm::TraceEvent& e
 
   if (ev.kind == ftx_sm::EventKind::kCrash) {
     flight_.RecordIncident("crash p" + std::to_string(pid) +
-                               (ev.label.empty() ? "" : ": " + ev.label),
+                               (ev.label.empty() ? "" : ": " + std::string(ev.label)),
                            ref);
   }
 

@@ -58,37 +58,34 @@ void CriticalPathTracker::OnTraceEvent(ftx_sm::EventRef ref, const ftx_sm::Trace
   if (pid < 0 || pid >= num_processes_) {
     return;
   }
-  const int64_t now = now_ns_();
+  const bool tainted = taint_[static_cast<size_t>(pid)].tainted;
   switch (ev.kind) {
     case ftx_sm::EventKind::kCrash: {
       ++crashes_;
       Taint t;
-      t.at_ns = now;
+      t.at_ns = now_ns_();
       t.via_crash = true;
       TaintProcess(pid, t);
       break;
     }
     case ftx_sm::EventKind::kSend: {
-      // Only tainted sends can propagate taint; untainted ones need no entry
-      // (this is what keeps the map small on a 10k-process fleet).
-      if (taint_[static_cast<size_t>(pid)].tainted && ev.message_id >= 0) {
-        tainted_sends_.emplace(ev.message_id, SendInfo{pid, now});
+      // Only tainted sends can propagate taint; untainted ones need no entry.
+      if (tainted && ev.message_id >= 0) {
+        tainted_sends_.Insert(ev.message_id, SendInfo{pid, now_ns_()});
       }
       break;
     }
     case ftx_sm::EventKind::kReceive: {
-      if (ev.message_id < 0) {
-        break;
-      }
-      auto it = tainted_sends_.find(ev.message_id);
-      if (it == tainted_sends_.end()) {
+      // First taint wins, so a tainted receiver has nothing to look up.
+      const SendInfo* send = tainted ? nullptr : tainted_sends_.Find(ev.message_id);
+      if (send == nullptr) {
         break;
       }
       Taint t;
-      t.at_ns = now;
+      t.at_ns = now_ns_();
       t.via_crash = false;
-      t.from_pid = it->second.pid;
-      t.send_ns = it->second.t_ns;
+      t.from_pid = send->pid;
+      t.send_ns = send->t_ns;
       t.message_id = ev.message_id;
       TaintProcess(pid, t);
       break;
@@ -96,9 +93,9 @@ void CriticalPathTracker::OnTraceEvent(ftx_sm::EventRef ref, const ftx_sm::Trace
     case ftx_sm::EventKind::kCommit: {
       // "Last" by execution order: the simulator's global (time, seq) order
       // makes ties at equal times deterministic too.
-      if (taint_[static_cast<size_t>(pid)].tainted) {
+      if (tainted) {
         last_commit_pid_ = pid;
-        last_commit_ns_ = now;
+        last_commit_ns_ = now_ns_();
       }
       break;
     }

@@ -17,9 +17,13 @@
 //
 // Because the simulator executes events in global (time, seq) order, the
 // first taint of each process is well defined and the whole propagation is
-// O(1) state per process plus one map entry per tainted message — no full
-// event log, so a 10k-process fleet run costs kilobytes, not the quadratic
-// clock state lean traces exist to avoid.
+// O(1) state per process plus one id-map entry per tainted message: no full
+// event log and none of the quadratic clock state lean traces exist to
+// avoid, but not small either. Once a server crashes, every 2PC prepare
+// from a tainted coordinator is a tainted send: one perfbench fleet-2pc
+// iteration (16 servers x 5,000 clients, 39 crashes) records 497,472 of
+// them. An entry is a 16-byte send site in pages of 1,024 ids (plus one
+// presence bit), so that is 8-11 MB, O(tainted messages).
 //
 // Extraction walks backward from the LAST tainted commit through the
 // first-taint edges to the crash that roots the chain, then attributes
@@ -55,6 +59,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/id_map.h"
 #include "src/obs/json.h"
 #include "src/statemachine/trace.h"
 
@@ -84,8 +89,9 @@ class CriticalPathTracker {
  public:
   explicit CriticalPathTracker(int num_processes, CriticalPathOptions options = {});
 
-  // Simulated-time source (the Computation's simulator clock), consulted at
-  // every observed event. Must be set before events flow.
+  // Simulated-time source (the Computation's simulator clock), consulted
+  // only for events that record a time: crashes, tainted sends, tainted
+  // receives and tainted commits. Must be set before events flow.
   void SetTimeSource(std::function<int64_t()> now_ns);
 
   // The Trace::Append observer body. The clock argument of the observer is
@@ -103,7 +109,7 @@ class CriticalPathTracker {
 
   int64_t crashes() const { return crashes_; }
   int64_t tainted_processes() const;
-  int64_t tainted_messages() const { return static_cast<int64_t>(tainted_sends_.size()); }
+  int64_t tainted_messages() const { return tainted_sends_.size(); }
 
   // One extracted span on the path (phase is one of the names above).
   struct Hop {
@@ -166,7 +172,7 @@ class CriticalPathTracker {
   std::function<int64_t()> now_ns_;
   std::vector<Taint> taint_;                  // per pid
   std::vector<std::vector<Recovery>> recoveries_;  // per pid, in time order
-  std::map<int64_t, SendInfo> tainted_sends_;      // message id -> send site
+  ftx::IdMap<SendInfo> tainted_sends_;             // message id -> send site
   int64_t crashes_ = 0;
   int last_commit_pid_ = -1;
   int64_t last_commit_ns_ = -1;

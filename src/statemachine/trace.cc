@@ -31,26 +31,27 @@ int64_t Trace::TotalEvents() const {
 }
 
 EventRef Trace::Append(ProcessId p, EventKind kind, int64_t message_id, bool logged,
-                       std::string label, int64_t atomic_group) {
+                       std::string_view label, int64_t atomic_group) {
   FTX_CHECK(p >= 0 && p < num_processes());
   auto sp = static_cast<size_t>(p);
+  std::vector<TraceEvent>& events = per_process_[sp];
 
   TraceEvent ev;
   ev.process = p;
-  ev.index = static_cast<int64_t>(per_process_[sp].size());
+  ev.index = NarrowEventField(static_cast<int64_t>(events.size()), "event index");
   ev.kind = kind;
   ev.message_id = message_id;
   ev.logged = logged;
-  ev.atomic_group = atomic_group;
-  ev.label = std::move(label);
+  ev.atomic_group = NarrowEventField(atomic_group, "atomic group");
+  ev.label = Intern(label);
 
   if (kind == EventKind::kReceive) {
     FTX_CHECK_MSG(message_id >= 0, "receive events require a message id");
-    auto it = send_of_message_.find(message_id);
-    FTX_CHECK_MSG(it != send_of_message_.end(), "receive of message %lld with no recorded send",
+    const SendSite* send = send_of_message_.Find(message_id);
+    FTX_CHECK_MSG(send != nullptr, "receive of message %lld with no recorded send",
                   static_cast<long long>(message_id));
     if (options_.record_clocks) {
-      current_clock_[sp].MergeFrom(ClockOf(it->second));
+      current_clock_[sp].MergeFrom(ClockOf(EventRef{send->process, send->index}));
     }
   }
   if (options_.record_clocks) {
@@ -59,26 +60,38 @@ EventRef Trace::Append(ProcessId p, EventKind kind, int64_t message_id, bool log
 
   if (kind == EventKind::kSend) {
     FTX_CHECK_MSG(message_id >= 0, "send events require a message id");
-    FTX_CHECK_MSG(send_of_message_.find(message_id) == send_of_message_.end(),
-                  "duplicate send of message %lld", static_cast<long long>(message_id));
+    const bool first_send = send_of_message_.Insert(message_id, SendSite{p, ev.index});
+    FTX_CHECK_MSG(first_send, "duplicate send of message %lld",
+                  static_cast<long long>(message_id));
   }
   if (kind == EventKind::kCommit) {
     commit_indices_[sp].push_back(ev.index);
   }
 
   EventRef ref{p, ev.index};
-  per_process_[sp].push_back(std::move(ev));
+  events.push_back(ev);
   if (options_.record_clocks) {
     clocks_[sp].push_back(current_clock_[sp]);
   }
-  if (kind == EventKind::kSend) {
-    send_of_message_[message_id] = ref;
-  }
   if (observer_) {
-    observer_(ref, per_process_[sp].back(),
-              options_.record_clocks ? clocks_[sp].back() : empty_clock_);
+    observer_(ref, events.back(), options_.record_clocks ? clocks_[sp].back() : empty_clock_);
   }
   return ref;
+}
+
+Label Trace::Intern(std::string_view text) {
+  if (text.empty()) {
+    return Label();
+  }
+  if (last_label_ == text) {
+    return last_label_;
+  }
+  auto it = labels_.find(text);
+  if (it == labels_.end()) {
+    it = labels_.emplace(text).first;
+  }
+  last_label_ = Label(&*it);
+  return last_label_;
 }
 
 void Trace::MarkFaultActivation(EventRef ref) {
@@ -142,11 +155,11 @@ const std::vector<TraceEvent>& Trace::ProcessEvents(ProcessId p) const {
 }
 
 std::optional<EventRef> Trace::SendOfMessage(int64_t message_id) const {
-  auto it = send_of_message_.find(message_id);
-  if (it == send_of_message_.end()) {
+  const SendSite* send = send_of_message_.Find(message_id);
+  if (send == nullptr) {
     return std::nullopt;
   }
-  return it->second;
+  return EventRef{send->process, send->index};
 }
 
 }  // namespace ftx_sm

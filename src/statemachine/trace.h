@@ -9,13 +9,19 @@
 #ifndef FTX_SRC_STATEMACHINE_TRACE_H_
 #define FTX_SRC_STATEMACHINE_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <unordered_set>
 #include <vector>
 
+#include "src/common/check.h"
+#include "src/common/id_map.h"
 #include "src/statemachine/event.h"
 #include "src/statemachine/vector_clock.h"
 
@@ -31,12 +37,46 @@ struct EventRef {
   auto operator<=>(const EventRef&) const = default;
 };
 
+// An event label interned in the label pool of the Trace that recorded it:
+// one pointer, null for the empty label. It compares by content and reads as
+// a std::string_view, and it lives as long as that Trace (a moved Trace
+// keeps its pool, and a Trace cannot be copied).
+class Label {
+ public:
+  Label() = default;
+
+  bool empty() const { return text_ == nullptr; }
+  operator std::string_view() const {
+    return text_ == nullptr ? std::string_view() : std::string_view(*text_);
+  }
+
+  friend bool operator==(Label a, Label b) {
+    return std::string_view(a) == std::string_view(b);
+  }
+  friend bool operator==(Label a, std::string_view b) { return std::string_view(a) == b; }
+
+ private:
+  friend class Trace;
+  explicit Label(const std::string* text) : text_(text) {}
+
+  const std::string* text_ = nullptr;  // non-empty when set
+};
+
+// Narrows an event index or atomic-group id to the 32 bits TraceEvent stores;
+// aborts naming `field` when the value does not fit.
+inline int32_t NarrowEventField(int64_t value, const char* field) {
+  FTX_CHECK_MSG(value >= std::numeric_limits<int32_t>::min() &&
+                    value <= std::numeric_limits<int32_t>::max(),
+                "%s %lld does not fit in 32 bits", field, static_cast<long long>(value));
+  return static_cast<int32_t>(value);
+}
+
+// Fields are ordered for size, keeping process before kind before
+// message_id: designated initializers name them in that order.
 struct TraceEvent {
   ProcessId process = kInvalidProcess;
-  int64_t index = -1;
+  int32_t index = -1;
   EventKind kind = EventKind::kInternal;
-  // Pairs a receive with its send; -1 for non-message events.
-  int64_t message_id = -1;
   // True when a non-deterministic event's result was captured in a recovery
   // log, rendering it deterministic for Save-work purposes (§2.4).
   bool logged = false;
@@ -45,10 +85,15 @@ struct TraceEvent {
   // Commits performed as one coordinated (2PC) round share a group id and
   // are "atomic with" one another in the sense of the Save-work Theorem;
   // -1 = not part of any atomic group.
-  int64_t atomic_group = -1;
+  int32_t atomic_group = -1;
+  // Pairs a receive with its send; -1 for non-message events.
+  int64_t message_id = -1;
   // Free-form tag for diagnostics ("keystroke", "frame", ...).
-  std::string label;
+  Label label = {};
 };
+// Every executed event is one of these, so their size is the trace's size.
+static_assert(sizeof(TraceEvent) <= 32);
+static_assert(std::is_trivially_copyable_v<TraceEvent>);
 
 struct TraceOptions {
   // Maintain per-event vector-clock snapshots (and the running clock per
@@ -65,15 +110,22 @@ class Trace {
  public:
   explicit Trace(int num_processes, TraceOptions options = {});
 
+  // Events' labels point into this Trace's label pool: a copy would outlive
+  // the pool it points into, a move takes the pool along.
+  Trace(const Trace&) = delete;
+  Trace& operator=(const Trace&) = delete;
+  Trace(Trace&&) = default;
+  Trace& operator=(Trace&&) = default;
+
   int num_processes() const { return static_cast<int>(per_process_.size()); }
   int64_t NumEvents(ProcessId p) const;
   int64_t TotalEvents() const;
 
   // Appends an event for process p and returns its reference. For kReceive,
   // message_id must name a previously appended kSend, whose clock is merged
-  // (the happens-before edge).
+  // (the happens-before edge). The label is interned in this Trace's pool.
   EventRef Append(ProcessId p, EventKind kind, int64_t message_id = -1, bool logged = false,
-                  std::string label = {}, int64_t atomic_group = -1);
+                  std::string_view label = {}, int64_t atomic_group = -1);
 
   // Observer invoked at the end of every Append with the new event's
   // reference, the recorded event, and the appending process's vector clock
@@ -119,12 +171,28 @@ class Trace {
   std::optional<EventRef> SendOfMessage(int64_t message_id) const;
 
  private:
+  // The send event of a message, as TraceEvent stores its coordinates.
+  struct SendSite {
+    ProcessId process;
+    int32_t index;
+  };
+  struct LabelHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view text) const { return std::hash<std::string_view>()(text); }
+  };
+
+  Label Intern(std::string_view text);
+
   TraceOptions options_;
   std::vector<std::vector<TraceEvent>> per_process_;
   std::vector<std::vector<VectorClock>> clocks_;     // snapshot per event (empty when lean)
   std::vector<VectorClock> current_clock_;           // running clock per process
-  std::vector<std::vector<int64_t>> commit_indices_; // sorted commit positions
-  std::map<int64_t, EventRef> send_of_message_;
+  std::vector<std::vector<int32_t>> commit_indices_; // sorted commit positions
+  ftx::IdMap<SendSite> send_of_message_;
+  // Node-based, so interned strings keep their addresses as the pool grows
+  // and when the Trace moves.
+  std::unordered_set<std::string, LabelHash, std::equal_to<>> labels_;
+  Label last_label_;                                 // most appends repeat it
   VectorClock empty_clock_;                          // observer arg in lean mode
   AppendObserver observer_;
 };

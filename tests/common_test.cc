@@ -1,12 +1,15 @@
-// Unit tests for src/common: Status/Result, Rng, CRC32, sim-time, bytes.
+// Unit tests for src/common: Status/Result, Rng, CRC32, sim-time, bytes,
+// IdMap.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
+#include "src/common/id_map.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
@@ -266,6 +269,70 @@ TEST(Bytes, HexDumpTruncates) {
   ftx::Bytes data(100, 0xff);
   std::string dump = ftx::HexDump(data, 4);
   EXPECT_EQ(dump, "ff ff ff ff ...");
+}
+
+// --- IdMap ---
+
+TEST(IdMap, DenseRunsFromEveryCounterBase) {
+  ftx::IdMap<int64_t> map;
+  const int64_t bases[] = {0, int64_t{1} << 40, 1000000000000000};
+  for (int64_t base : bases) {
+    for (int64_t i = 0; i < 5000; ++i) {
+      EXPECT_TRUE(map.Insert(base + i, -(base + i)));
+    }
+  }
+  EXPECT_EQ(map.size(), 15000);
+  for (int64_t base : bases) {
+    for (int64_t i = 0; i < 5000; ++i) {
+      const int64_t* value = map.Find(base + i);
+      ASSERT_NE(value, nullptr) << base + i;
+      EXPECT_EQ(*value, -(base + i));
+    }
+    EXPECT_EQ(map.Find(base + 5000), nullptr);
+  }
+  EXPECT_EQ(map.Find((int64_t{1} << 40) - 1), nullptr);
+}
+
+TEST(IdMap, SparseAndOutOfOrderIds) {
+  ftx::IdMap<int> map;
+  // Descending, with gaps of every size: within a page, across a few pages,
+  // and far beyond any run.
+  const int64_t ids[] = {std::numeric_limits<int64_t>::max(),
+                         int64_t{1} << 62,
+                         5000000,
+                         70000,
+                         4096,
+                         1025,
+                         1023,
+                         7,
+                         0};
+  int n = 0;
+  for (int64_t id : ids) {
+    EXPECT_TRUE(map.Insert(id, ++n));
+  }
+  n = 0;
+  for (int64_t id : ids) {
+    const int* value = map.Find(id);
+    ASSERT_NE(value, nullptr) << id;
+    EXPECT_EQ(*value, ++n);
+  }
+  for (int64_t absent : {int64_t{1}, int64_t{1024}, int64_t{4095}, int64_t{69999},
+                         int64_t{5000001}, (int64_t{1} << 62) + 1, int64_t{-1}}) {
+    EXPECT_EQ(map.Find(absent), nullptr) << absent;
+  }
+}
+
+TEST(IdMap, FirstInsertWins) {
+  ftx::IdMap<int> map;
+  EXPECT_TRUE(map.Insert(12, 1));
+  EXPECT_FALSE(map.Insert(12, 2));
+  EXPECT_EQ(*map.Find(12), 1);
+  EXPECT_EQ(map.size(), 1);
+}
+
+TEST(IdMapDeathTest, NegativeIdAborts) {
+  ftx::IdMap<int> map;
+  EXPECT_DEATH(map.Insert(-3, 1), "IdMap id -3 is negative");
 }
 
 }  // namespace

@@ -4,8 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "src/common/rng.h"
+#include "src/obs/causal/critical_path.h"
+#include "src/protocol/script_replay.h"
 #include "src/statemachine/graph.h"
+#include "src/statemachine/random_model.h"
 #include "src/statemachine/trace.h"
 #include "src/statemachine/trace_format.h"
 #include "src/statemachine/vector_clock.h"
@@ -156,6 +170,259 @@ TEST(Trace, DuplicateReceiveOfSameMessageAllowed) {
   trace.Append(1, EventKind::kReceive, 5);
   trace.Append(1, EventKind::kReceive, 5);  // redelivery
   EXPECT_EQ(trace.NumEvents(1), 2);
+}
+
+// --- Trace storage: interned labels, paged send pairing, 32-bit fields ---
+
+// Labels point into the owning Trace's pool, so a Trace moves but never
+// copies.
+static_assert(!std::is_copy_constructible_v<Trace>);
+static_assert(!std::is_copy_assignable_v<Trace>);
+static_assert(std::is_move_constructible_v<Trace>);
+
+// Every label of the trace, in (process, index) order.
+std::vector<std::string> AllLabels(const Trace& trace) {
+  std::vector<std::string> labels;
+  for (ftx_sm::ProcessId p = 0; p < trace.num_processes(); ++p) {
+    for (const ftx_sm::TraceEvent& ev : trace.ProcessEvents(p)) {
+      labels.emplace_back(ev.label);
+    }
+  }
+  return labels;
+}
+
+TEST(Trace, LabelsCompareByContentAndReadAsStrings) {
+  Trace trace(2);
+  trace.Append(0, EventKind::kSend, 9, false, "2pc");
+  trace.Append(1, EventKind::kReceive, 9, true, std::string("2pc"));
+  trace.Append(1, EventKind::kCommit);
+  const ftx_sm::TraceEvent& send = trace.event(EventRef{0, 0});
+  const ftx_sm::TraceEvent& recv = trace.event(EventRef{1, 0});
+  const ftx_sm::TraceEvent& commit = trace.event(EventRef{1, 1});
+  EXPECT_TRUE(send.label == "2pc");
+  EXPECT_TRUE(send.label == recv.label);
+  EXPECT_FALSE(send.label == commit.label);
+  EXPECT_TRUE(commit.label.empty());
+  EXPECT_EQ(std::string(send.label), "2pc");
+  EXPECT_EQ(std::string_view(commit.label), "");
+
+  // A label re-appended into another trace is interned in that trace's pool
+  // and still compares equal to the original.
+  Trace other(2);
+  other.Append(0, EventKind::kSend, 9, false, send.label);
+  EXPECT_TRUE(other.event(EventRef{0, 0}).label == send.label);
+}
+
+TEST(Trace, LabelsSurviveMovesOfTheTraceAndOfAReplayResult) {
+  auto source = std::make_unique<Trace>(3);
+  source->Append(0, EventKind::kTransientNd, -1, false, "flip");
+  source->Append(0, EventKind::kSend, 4, false, "request");
+  source->Append(1, EventKind::kReceive, 4, true, "request");
+  source->Append(2, EventKind::kCrash, -1, false,
+                 "an assertion message longer than any small-string buffer");
+  source->Append(1, EventKind::kCommit, -1, false, "", /*atomic_group=*/3);
+  const std::string text = ftx_sm::FormatTrace(*source);
+  const std::vector<std::string> labels = AllLabels(*source);
+
+  Trace moved(std::move(*source));
+  source.reset();
+  EXPECT_EQ(ftx_sm::FormatTrace(moved), text);
+  EXPECT_EQ(AllLabels(moved), labels);
+
+  Trace assigned(1);
+  {
+    Trace temporary = std::move(moved);
+    assigned = std::move(temporary);
+  }
+  EXPECT_EQ(ftx_sm::FormatTrace(assigned), text);
+  EXPECT_EQ(AllLabels(assigned), labels);
+  // The moved trace keeps interning into the pool it took over.
+  assigned.Append(0, EventKind::kVisible, -1, false, "flip");
+  EXPECT_EQ(std::string(assigned.event(EventRef{0, 2}).label), "flip");
+
+  // A 2PC protocol's replay labels its coordination events "2pc".
+  ftx::Rng rng(11);
+  ftx_sm::RandomTraceOptions options;
+  options.num_processes = 3;
+  options.events_per_process = 30;
+  const std::vector<ftx_sm::ScriptedEvent> script = ftx_sm::MakeRandomScript(&rng, options);
+  auto replay = std::make_unique<ftx_proto::ScriptReplayResult>(
+      ftx_proto::ReplayScript(script, options.num_processes, "cpv-2pc"));
+  const std::string replay_text = ftx_sm::FormatTrace(replay->trace);
+  const std::vector<std::string> replay_labels = AllLabels(replay->trace);
+  ASSERT_NE(std::count(replay_labels.begin(), replay_labels.end(), "2pc"), 0);
+
+  ftx_proto::ScriptReplayResult kept = std::move(*replay);
+  replay.reset();
+  EXPECT_EQ(ftx_sm::FormatTrace(kept.trace), replay_text);
+  EXPECT_EQ(AllLabels(kept.trace), replay_labels);
+}
+
+TEST(Trace, SendPairingIsExactAcrossMixedIdPatterns) {
+  // The id patterns the pairing map serves: small sparse ids (unit tests),
+  // the network's counter from 0, the coordinator's from 1e15, the script
+  // replayer's from 2^40, plus a few isolated ids far from every run.
+  ftx::Rng rng(2024);
+  std::set<int64_t> ids;
+  while (ids.size() < 300) {
+    ids.insert(static_cast<int64_t>(rng.NextBounded(100000)));
+  }
+  for (int64_t i = 0; i < 3000; ++i) {
+    ids.insert(i);
+    ids.insert(int64_t{1000000000000000} + i);
+    ids.insert((int64_t{1} << 40) + i);
+  }
+  for (int i = 0; i < 20; ++i) {
+    ids.insert(static_cast<int64_t>(rng.NextBounded(uint64_t{1} << 62)));
+  }
+  ids.insert(std::numeric_limits<int64_t>::max());
+  std::vector<int64_t> order(ids.begin(), ids.end());
+  rng.Shuffle(&order);
+
+  // Every fourth id stays unsent; the rest are sent in shuffled order by
+  // random processes, and received (by another random process) some time
+  // after the send.
+  constexpr int kProcesses = 6;
+  Trace trace(kProcesses);
+  std::map<int64_t, EventRef> sent;
+  std::vector<int64_t> unsent;
+  std::vector<int64_t> in_flight;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const int64_t id = order[i];
+    if (i % 4 == 3) {
+      unsent.push_back(id);
+      continue;
+    }
+    const auto sender = static_cast<ftx_sm::ProcessId>(rng.NextBounded(kProcesses));
+    sent[id] = trace.Append(sender, EventKind::kSend, id, false, "send");
+    in_flight.push_back(id);
+    while (!in_flight.empty() && rng.NextBounded(3) == 0) {
+      const size_t pick = rng.NextBounded(in_flight.size());
+      const auto receiver = static_cast<ftx_sm::ProcessId>(rng.NextBounded(kProcesses));
+      const EventRef recv = trace.Append(receiver, EventKind::kReceive, in_flight[pick]);
+      EXPECT_TRUE(trace.HappensBeforeOrEqual(sent[in_flight[pick]], recv));
+      in_flight[pick] = in_flight.back();
+      in_flight.pop_back();
+    }
+  }
+
+  for (const auto& [id, ref] : sent) {
+    const std::optional<EventRef> found = trace.SendOfMessage(id);
+    ASSERT_TRUE(found.has_value()) << id;
+    EXPECT_EQ(*found, ref) << id;
+    EXPECT_EQ(trace.event(ref).message_id, id);
+  }
+  for (int64_t id : unsent) {
+    EXPECT_FALSE(trace.SendOfMessage(id).has_value()) << id;
+  }
+  EXPECT_FALSE(trace.SendOfMessage(-1).has_value());
+  EXPECT_FALSE(trace.SendOfMessage(int64_t{1000000000000000} + 3000).has_value());
+  EXPECT_FALSE(trace.SendOfMessage((int64_t{1} << 40) - 1).has_value());
+}
+
+TEST(TraceDeathTest, ReceiveWithoutRecordedSendAborts) {
+  Trace trace(2);
+  trace.Append(0, EventKind::kSend, 41);
+  EXPECT_DEATH(trace.Append(1, EventKind::kReceive, 42),
+               "receive of message 42 with no recorded send");
+}
+
+TEST(TraceDeathTest, DuplicateSendAborts) {
+  Trace trace(2);
+  trace.Append(0, EventKind::kSend, 1000000000000000);
+  EXPECT_DEATH(trace.Append(1, EventKind::kSend, 1000000000000000),
+               "duplicate send of message 1000000000000000");
+}
+
+TEST(TraceDeathTest, MessageEventsRequireANonNegativeId) {
+  Trace trace(2);
+  EXPECT_DEATH(trace.Append(0, EventKind::kSend, -1), "send events require a message id");
+  EXPECT_DEATH(trace.Append(0, EventKind::kReceive, -1), "receive events require a message id");
+}
+
+TEST(TraceDeathTest, AtomicGroupBeyond32BitsAborts) {
+  Trace trace(1);
+  const int64_t max_group = std::numeric_limits<int32_t>::max();
+  EXPECT_EQ(trace.event(trace.Append(0, EventKind::kCommit, -1, false, "", max_group))
+                .atomic_group,
+            max_group);
+  EXPECT_DEATH(trace.Append(0, EventKind::kCommit, -1, false, "", max_group + 1),
+               "atomic group 2147483648 does not fit in 32 bits");
+}
+
+TEST(TraceDeathTest, EventIndexBeyond32BitsAborts) {
+  // Append narrows every event index through NarrowEventField; 2^31 events
+  // of one process are too many to append in a test, so the check is pinned
+  // on the narrowing itself.
+  EXPECT_EQ(ftx_sm::NarrowEventField(std::numeric_limits<int32_t>::max(), "event index"),
+            std::numeric_limits<int32_t>::max());
+  EXPECT_DEATH(ftx_sm::NarrowEventField(int64_t{1} << 31, "event index"),
+               "event index 2147483648 does not fit in 32 bits");
+}
+
+TEST(CriticalPathPairing, TaintedSendsInBothIdRangesAreCountedExactly) {
+  // Network ids count from 0 and coordination ids from 1e15; the tracker's
+  // pairing map holds both. p0 crashes, then sends in both ranges: each is
+  // a tainted send. p1 stays clean: its sends are not recorded.
+  constexpr int64_t kCoordBase = 1000000000000000;
+  ftx_causal::CriticalPathTracker tracker(3);
+  int64_t now = 0;
+  int time_reads = 0;
+  tracker.SetTimeSource([&now, &time_reads]() {
+    ++time_reads;
+    return now;
+  });
+  auto event = [](ftx_sm::ProcessId p, EventKind kind, int64_t id) {
+    ftx_sm::TraceEvent ev;
+    ev.process = p;
+    ev.kind = kind;
+    ev.message_id = id;
+    return ev;
+  };
+  int64_t index = 0;
+  for (int64_t i = 0; i < 2500; ++i) {
+    tracker.OnTraceEvent(EventRef{1, index++}, event(1, EventKind::kSend, 100000 + i));
+    tracker.OnTraceEvent(EventRef{1, index++}, event(1, EventKind::kCommit, -1));
+  }
+  EXPECT_EQ(time_reads, 0);  // nothing tainted: no event records a time
+  EXPECT_EQ(tracker.tainted_messages(), 0);
+
+  now = 100;
+  tracker.OnCrash(0);
+  constexpr int64_t kNetworkSends = 3000;
+  constexpr int64_t kCoordSends = 2100;
+  for (int64_t i = 0; i < kNetworkSends; ++i) {
+    now = 200 + i;
+    tracker.OnTraceEvent(EventRef{0, i}, event(0, EventKind::kSend, 2 * i));
+  }
+  for (int64_t i = 0; i < kCoordSends; ++i) {
+    now = 10000 + i;
+    tracker.OnTraceEvent(EventRef{0, kNetworkSends + i},
+                         event(0, EventKind::kSend, kCoordBase + i));
+  }
+  // A repeated send id keeps its first send site.
+  now = 20000;
+  tracker.OnTraceEvent(EventRef{0, kNetworkSends + kCoordSends},
+                       event(0, EventKind::kSend, kCoordBase));
+  EXPECT_EQ(tracker.tainted_messages(), kNetworkSends + kCoordSends);
+
+  // p2 receives one untainted message and then a coordination message that
+  // p0 sent at 10000 + 7: that send is its first-taint edge.
+  now = 30000;
+  tracker.OnTraceEvent(EventRef{2, 0}, event(2, EventKind::kReceive, 100001));
+  tracker.OnTraceEvent(EventRef{2, 1}, event(2, EventKind::kReceive, 2 * 2999 + 1));
+  EXPECT_EQ(tracker.tainted_processes(), 1);
+  tracker.OnTraceEvent(EventRef{2, 2}, event(2, EventKind::kReceive, kCoordBase + 7));
+  now = 30500;
+  tracker.OnTraceEvent(EventRef{2, 3}, event(2, EventKind::kCommit, -1));
+  EXPECT_EQ(tracker.tainted_processes(), 2);
+  EXPECT_EQ(tracker.tainted_messages(), kNetworkSends + kCoordSends);
+
+  const ftx_causal::CriticalPathTracker::Path path = tracker.Extract();
+  ASSERT_TRUE(path.found);
+  EXPECT_EQ(path.root_pid, 0);
+  EXPECT_EQ(path.last_pid, 2);
+  EXPECT_EQ(path.totals_ns.at("message"), 30000 - (10000 + 7));
 }
 
 // --- StateMachineGraph ---
