@@ -49,10 +49,9 @@ inline Fig8Cell RunFig8Cell(const std::string& workload, const std::string& prot
   spec.seed = seed;
   spec.audit = audit;
   if (batch > 1) {
-    // --batch: recoverable runs stage commits through the group-commit
-    // pipeline (whole windows persist under one sync pair on DC-disk).
+    // --batch: DC-disk runs persist whole windows of staged commits under
+    // one sync pair.
     spec.tweak_options = [batch](ftx::ComputationOptions* o) {
-      o->group_commit.enabled = true;
       o->group_commit.max_records = batch;
     };
   }

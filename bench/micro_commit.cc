@@ -181,46 +181,38 @@ BENCHMARK(BM_SegmentAbort)->Arg(16)->Arg(256);
 void BM_GroupCommit(benchmark::State& state) {
   // Simulated DC-disk commit throughput under group commit: windows of N
   // 4-page records stage through the CommitPipeline and each flush charges
-  // WindowPersistCost — one seek+rotation pair per *window* instead of per
-  // record. sim_commits_per_sec is the model-time throughput; the ratio of
-  // the batch-8 and batch-1 rows is the grouped-commit gate in
-  // scripts/bench_hotpath.sh (>= 2x at batch 8 on the DiskModel).
+  // one PersistCost over the window's payload — one seek+rotation pair per
+  // *window* instead of per record. sim_commits_per_sec is the model-time
+  // throughput; the ratio of the batch-8 and batch-1 rows is the
+  // grouped-commit gate in scripts/bench_hotpath.sh (>= 2x at batch 8 on
+  // the DiskModel).
   const int64_t batch = state.range(0);
   ftx_store::DiskModel disk_model;
   ftx_store::DiskStore store(&disk_model);
   ftx_store::RedoLog log;
   ftx_store::BatchPolicy policy;
-  policy.enabled = true;
   policy.max_records = batch;
   ftx_store::CommitPipeline pipeline(&log, policy);
 
   std::vector<uint8_t> page(4096, 0xa5);
   double sim_ns = 0.0;
   int64_t commits = 0;
-  int64_t window_records = 0;
-  int64_t window_bytes = 0;
   for (auto _ : state) {
     ftx_store::RedoRecord record;
     record.ReservePages(4, page.size());
     for (int64_t p = 0; p < 4; ++p) {
       record.AppendPage(p * 4096, page.data(), page.size());
     }
-    window_bytes += record.PayloadBytes() + 64;
-    ++window_records;
     ++commits;
     if (pipeline.Stage(std::move(record))) {
-      pipeline.Flush();
-      sim_ns += static_cast<double>(store.WindowPersistCost(window_records, window_bytes).nanos());
+      sim_ns += static_cast<double>(store.PersistCost(pipeline.Flush()).nanos());
       // Retire the flushed prefix so the in-memory record chain (and the
       // host-time cost of tracking it) stays bounded over the bench run.
       log.TruncateThrough(log.next_sequence() - 1);
-      window_records = 0;
-      window_bytes = 0;
     }
   }
   if (!pipeline.empty()) {
-    pipeline.Flush();
-    sim_ns += static_cast<double>(store.WindowPersistCost(window_records, window_bytes).nanos());
+    sim_ns += static_cast<double>(store.PersistCost(pipeline.Flush()).nanos());
   }
   state.SetItemsProcessed(commits);
   state.counters["sim_commits_per_sec"] =

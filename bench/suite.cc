@@ -46,7 +46,7 @@ constexpr FlagSpec kBenchFlags[] = {
      }},
     {"--prof", "PATH", "write a collapsed-stack host-time profile (FlameGraph format)",
      [](BenchOptions* options, const char* value) { options->prof_path = value; }},
-    {"--batch", "N", "group-commit window size for DC-disk runs (records per sync; 0 = off)",
+    {"--batch", "N", "DC-disk group-commit window (records per sync; <= 1 = one record per window)",
      [](BenchOptions* options, const char* value) {
        options->batch = std::strtoll(value, nullptr, 10);
      }},

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # ASan+UBSan gate: configures the sanitized build tree build-asan with
-# -DFTX_SANITIZE=address,undefined, builds it, and runs every CTest entry
-# except the crash-state torture runs (label "torture", the longest of the
-# suite). UBSan is built non-recoverable, so a finding aborts its test.
-# Exits nonzero when the configure, the build or any test fails.
+# -DFTX_SANITIZE=address,undefined, builds it, and runs every CTest entry,
+# the crash-state torture runs (label "torture") included — they drive the
+# DC-disk commit and recovery paths hardest. UBSan is built
+# non-recoverable, so a finding aborts its test. Exits nonzero when the
+# configure, the build or any test fails.
 #
 # Usage: scripts/check_sanitizers.sh
 # Builds and tests with one job per core (the machine's memory is shared;
@@ -15,5 +16,5 @@ JOBS=$(nproc)
 
 cmake -B build-asan -S . -DFTX_SANITIZE=address,undefined
 cmake --build build-asan -j "$JOBS"
-ctest --test-dir build-asan -LE torture -j "$JOBS" --output-on-failure
-echo "check_sanitizers: ASan+UBSan pass (torture label excluded)"
+ctest --test-dir build-asan -j "$JOBS" --output-on-failure
+echo "check_sanitizers: ASan+UBSan pass"

@@ -56,6 +56,8 @@ Runtime::Runtime(int pid, int num_processes, App* app,
                   "Runtime: recoverable mode requires dependency 'trace'");
     FTX_CHECK_MSG(env_.store != nullptr,
                   "Runtime: recoverable mode requires dependency 'store'");
+    FTX_CHECK_MSG(env_.redo_log == nullptr || env_.commit_pipeline != nullptr,
+                  "Runtime: a redo log requires dependency 'commit_pipeline'");
   }
   segment_ = std::make_unique<ftx_vista::Segment>(app->SegmentBytes());
   if (app->HeapBytes() > 0) {
@@ -98,10 +100,6 @@ void Runtime::SetInputScript(std::vector<ftx::Bytes> script) {
   input_script_ = std::move(script);
 }
 
-void Runtime::SetCrashHandler(std::function<void(const std::string&)> handler) {
-  crash_handler_ = std::move(handler);
-}
-
 void Runtime::Initialize() {
   in_step_ = true;
   step_cost_ = ftx::Duration();
@@ -112,10 +110,10 @@ void Runtime::Initialize() {
   // committed". Its cost is excluded from overhead accounting (both the
   // recoverable and baseline versions start from a settled initial state).
   if (mode_ == RuntimeMode::kRecoverable) {
-    DoCommit(/*coordinated=*/false);
     // "The initial state of any application is always committed" — durably:
-    // checkpoint #0 never waits in an open group-commit window.
-    FlushCommitWindow();
+    // checkpoint #0 never waits in an open group-commit window. A commit
+    // left staged has accrued its stage cost, which the window waits for.
+    FlushCommitWindow(DoCommit(/*coordinated=*/false));
   } else {
     segment_->Commit();
   }
@@ -261,15 +259,19 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
     return ftx::Duration();
   }
   FTX_PROF_SCOPE("commit");
-  const ftx::Duration fixed_cost = env_.store->CommitFixedCost();
   // Volatile (recomputable) ranges are excluded from what a commit
   // persists; their pages still pay the COW trap but not the persist path.
   const auto trapped = static_cast<int64_t>(segment_->dirty_page_count());
   const auto pages = static_cast<int64_t>(segment_->persisted_dirty_page_count());
-  const ftx::Duration before_image_cost = costs_.page_trap * trapped;
-  const ftx::Duration reprotect_cost = costs_.page_reprotect * pages;
-  ftx::Duration cost = fixed_cost;
-  cost += before_image_cost + reprotect_cost;
+  StagedCommit staged;
+  staged.coordinated = coordinated;
+  staged.atomic_group = atomic_group;
+  staged.pages = pages;
+  staged.fixed_cost = env_.store->CommitFixedCost();
+  staged.capture_cost = costs_.page_trap * trapped;
+  staged.reprotect_cost = costs_.page_reprotect * pages;
+  staged.begin = AccruedNow();
+  const ftx::Duration stage_cost = staged.fixed_cost + staged.capture_cost + staged.reprotect_cost;
 
   // Capture the post-commit resume point: the synthetic register file plus
   // the kernel / input / ND-log cursors recovery must restore.
@@ -281,13 +283,12 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
   meta.input_cursor = input_cursor_;
   meta.nd_consumed = nd_consumed_;
 
-  ftx::Duration persist_cost;
-  int64_t payload_bytes = 0;
+  bool must_flush = true;
   if (env_.redo_log != nullptr) {
-    // DC-disk: synchronous redo record of the dirty pages + metadata. The
-    // segment's visitor hands page spans straight to record serialization —
-    // the only copy is the one the persist itself requires. The serialize
-    // phase includes the incremental CRC AppendPage computes over each page.
+    // DC-disk: a redo record of the dirty pages + metadata. The segment's
+    // visitor hands page spans straight to record serialization — the only
+    // copy is the one the persist itself requires. The serialize phase
+    // includes the incremental CRC AppendPage computes over each page.
     ftx_store::RedoRecord record;
     {
       FTX_PROF_SCOPE("commit.serialize_crc");
@@ -298,193 +299,128 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
           });
       ftx::AppendValue(&record.metadata, meta);
     }
-    payload_bytes = record.PayloadBytes() + 64;
-    if (GroupCommitActive()) {
-      // Group commit: stage the record into the open window instead of
-      // syncing it now. The window's single sync pair is paid at flush —
-      // policy trip, ND-visible/send event, coordinated round, or clean
-      // shutdown — and nothing is *reported* committed (trace event, audit
-      // breakdown, message release) until then, so Save-work is untouched.
-      bool must_flush = false;
-      {
-        FTX_PROF_SCOPE("commit.stage");
-        must_flush = env_.commit_pipeline->Stage(std::move(record));
-      }
-      StagedCommitMeta sm;
-      sm.coordinated = coordinated;
-      sm.atomic_group = atomic_group;
-      sm.pages = pages;
-      sm.payload_bytes = payload_bytes;
-      sm.fixed_cost = fixed_cost;
-      sm.capture_cost = before_image_cost;
-      sm.reprotect_cost = reprotect_cost;
-      sm.begin_ns = (Now() + (in_step_ ? step_cost_ : pending_overhead_)).nanos();
-      staged_meta_.push_back(sm);
-
-      committed_ = meta;
-      {
-        FTX_PROF_SCOPE("commit.reprotect");
-        segment_->Commit();
-      }
-      communicated_mask_ = 0;  // dependencies up to here ride this window
-      ++stats_.commits;
-      if (coordinated) {
-        ++stats_.coordinated_commits;
-      }
-      stats_.commit_time += cost;  // capture portion; the window adds at flush
-      stats_.pages_committed += pages;
-      if (env_.tracer != nullptr) {
-        ftx::TimePoint base = Now() + (in_step_ ? step_cost_ : pending_overhead_);
-        env_.tracer->Span(pid_, ftx_obs::TraceLane::kStorage, "dc", "commit(stage)", base,
-                           base + cost);
-      }
-      protocol_->OnCommitted();
-      if (must_flush || coordinated) {
-        // Coordinated rounds externalize through protocol messages, so a
-        // 2PC commit must be durable before the round reports completion.
-        cost += FlushCommitWindow();
-      }
-      return cost;
-    }
-    persist_cost = env_.store->PersistCost(payload_bytes);
-    cost += persist_cost;
-    stats_.bytes_persisted += payload_bytes;
-    {
-      FTX_PROF_SCOPE("commit.persist");
-      env_.redo_log->Append(std::move(record));
-    }
+    staged.payload_bytes = record.PayloadBytes() + 64;
+    // The record waits in the open window until a flush persists it —
+    // policy trip, ND-visible/send event, coordinated round, or clean
+    // shutdown — and nothing is reported committed (trace event, audit
+    // breakdown, message release) until then, so Save-work is untouched.
+    must_flush = env_.commit_pipeline->Stage(std::move(record));
   } else {
     // Rio: data is already in the persistent segment; commit atomically
-    // discards the undo log. Charge the (memory-speed) cost of retiring it.
-    payload_bytes = segment_->undo_bytes();
-    persist_cost = env_.store->PersistCost(payload_bytes);
-    cost += persist_cost;
-    stats_.bytes_persisted += payload_bytes;
+    // discards the undo log, whose (memory-speed) retirement the flush
+    // charges.
+    staged.payload_bytes = segment_->undo_bytes();
   }
+  staged_.push_back(staged);
   committed_ = meta;
-
-  {
-    // Host-time equivalent of the reprotect_cost charge above: retire the
-    // undo log and clear the dirty bitmaps.
-    FTX_PROF_SCOPE("commit.reprotect");
-    segment_->Commit();
-  }
-  env_.network->ReleaseAllDelivered(pid_);
-  communicated_mask_ = 0;  // dependencies up to here are now stable
+  communicated_mask_ = 0;  // dependencies up to here ride this window
 
   ++stats_.commits;
   if (coordinated) {
     ++stats_.coordinated_commits;
   }
-  stats_.commit_time += cost;
+  stats_.commit_time += stage_cost;  // the window's charge adds at flush
   stats_.pages_committed += pages;
-
-  if (env_.audit != nullptr) {
-    // Stage the component breakdown so the audit ledger can attach it to the
-    // kCommit trace event appended just below. Purely observational: every
-    // quantity here was already computed for the charge above.
-    ftx_causal::CommitCosts cc;
-    cc.fixed_ns = fixed_cost.nanos();
-    cc.before_image_ns = before_image_cost.nanos();
-    cc.reprotect_ns = reprotect_cost.nanos();
-    cc.persist_ns = persist_cost.nanos();
-    cc.pages = pages;
-    cc.payload_bytes = payload_bytes;
-    const ftx::TimePoint base = Now() + (in_step_ ? step_cost_ : pending_overhead_);
-    cc.begin_ns = base.nanos();
-    cc.end_ns = (base + cost).nanos();
-    env_.audit->StageCommitCosts(pid_, cc);
-  }
-  if (env_.trace != nullptr) {
-    env_.trace->Append(pid_, ftx_sm::EventKind::kCommit, -1, false, "", atomic_group);
-  }
-  if (commit_hist_ != nullptr) {
-    commit_hist_->Observe(cost.nanos());
-  }
-  if (env_.tracer != nullptr) {
-    // The commit occupies the simulated interval just past what this process
-    // has already accrued (the clock itself only advances between events).
-    ftx::TimePoint base = Now() + (in_step_ ? step_cost_ : pending_overhead_);
-    env_.tracer->Span(pid_, ftx_obs::TraceLane::kStorage, "dc",
-                       coordinated ? "commit(2pc)" : "commit", base, base + cost);
-  }
   protocol_->OnCommitted();
+
+  ftx::Duration cost = stage_cost;
+  if (must_flush || coordinated) {
+    // Coordinated rounds externalize through protocol messages, so a 2PC
+    // commit must be durable before the round reports completion.
+    cost += FlushCommitWindow(stage_cost);
+  }
+  {
+    // Host-time equivalent of the reprotect_cost charge above: retire the
+    // undo log and clear the dirty bitmaps. It follows the flush, so a
+    // commit that persists its own window writes its redo record before
+    // the before-images are discarded, the crash-safe order.
+    FTX_PROF_SCOPE("commit.reprotect");
+    segment_->Commit();
+  }
   return cost;
 }
 
-bool Runtime::GroupCommitActive() const {
-  return env_.commit_pipeline != nullptr && env_.commit_pipeline->policy().enabled &&
-         env_.redo_log != nullptr && mode_ == RuntimeMode::kRecoverable;
-}
-
-ftx::Duration Runtime::FlushCommitWindow() {
-  if (!GroupCommitActive() || env_.commit_pipeline->empty()) {
+ftx::Duration Runtime::FlushCommitWindow(ftx::Duration uncharged) {
+  if (staged_.empty()) {
     return ftx::Duration();
   }
   FTX_PROF_SCOPE("commit.window_flush");
-  const int64_t records = env_.commit_pipeline->staged_records();
-  FTX_CHECK_EQ(records, static_cast<int64_t>(staged_meta_.size()));
+  const auto records = static_cast<int64_t>(staged_.size());
   int64_t window_bytes = 0;
-  for (const StagedCommitMeta& sm : staged_meta_) {
-    window_bytes += sm.payload_bytes;
+  for (const StagedCommit& staged : staged_) {
+    window_bytes += staged.payload_bytes;
   }
-  {
+  if (env_.commit_pipeline != nullptr) {
+    FTX_CHECK_EQ(records, env_.commit_pipeline->staged_records());
     FTX_PROF_SCOPE("commit.persist");
     env_.commit_pipeline->Flush();
   }
-  const ftx::Duration window_cost = env_.store->WindowPersistCost(records, window_bytes);
+  const ftx::Duration window_cost = env_.store->PersistCost(window_bytes);
   // Overlap credit: a pipelined implementation captures + CRCs record N+1
   // while record N's window I/O is in flight. The capture cost of records
   // 2..N was already charged at their stage time; hand it back here, capped
   // at the window share the earlier records' I/O occupies (a singleton
   // window gets no credit — there is nothing to overlap with).
   ftx::Duration credit;
-  for (size_t i = 1; i < staged_meta_.size(); ++i) {
-    credit += staged_meta_[i].capture_cost;
+  for (size_t i = 1; i < staged_.size(); ++i) {
+    credit += staged_[i].capture_cost;
   }
   const ftx::Duration cap = ftx::Nanoseconds(window_cost.nanos() * (records - 1) / records);
   if (credit > cap) {
     credit = cap;
   }
-  const ftx::Duration cost = window_cost - credit;
-  stats_.commit_time += cost;
+  const ftx::Duration charge = window_cost - credit;
+  stats_.commit_time += charge;
   stats_.bytes_persisted += window_bytes;
 
-  const ftx::TimePoint base = Now() + (in_step_ ? step_cost_ : pending_overhead_);
-  for (const StagedCommitMeta& sm : staged_meta_) {
+  // Every commit in the window becomes durable when the window's I/O, which
+  // starts once all accrued cost has elapsed, completes.
+  const ftx::TimePoint end = AccruedNow() + uncharged + charge;
+  const int64_t share_ns = charge.nanos() / records;
+  for (size_t i = 0; i < staged_.size(); ++i) {
+    const StagedCommit& staged = staged_[i];
+    // The last commit takes the division remainder, so the shares sum
+    // exactly to the window charge.
+    const int64_t persist_ns =
+        i + 1 < staged_.size() ? share_ns : charge.nanos() - share_ns * (records - 1);
+    const ftx::Duration total = staged.fixed_cost + staged.capture_cost + staged.reprotect_cost +
+                                ftx::Nanoseconds(persist_ns);
     if (env_.audit != nullptr) {
+      // Stage the component breakdown so the audit ledger can attach it to
+      // the kCommit trace event appended just below. Purely observational:
+      // every quantity here was already computed for the charge.
       ftx_causal::CommitCosts cc;
-      cc.fixed_ns = sm.fixed_cost.nanos();
-      cc.before_image_ns = sm.capture_cost.nanos();
-      cc.reprotect_ns = sm.reprotect_cost.nanos();
-      cc.persist_ns = window_cost.nanos() / records;  // per-record window share
-      cc.pages = sm.pages;
-      cc.payload_bytes = sm.payload_bytes;
-      cc.begin_ns = sm.begin_ns;
-      cc.end_ns = (base + cost).nanos();
+      cc.fixed_ns = staged.fixed_cost.nanos();
+      cc.before_image_ns = staged.capture_cost.nanos();
+      cc.reprotect_ns = staged.reprotect_cost.nanos();
+      cc.persist_ns = persist_ns;
+      cc.pages = staged.pages;
+      cc.payload_bytes = staged.payload_bytes;
+      cc.begin_ns = staged.begin.nanos();
+      cc.end_ns = end.nanos();
       env_.audit->StageCommitCosts(pid_, cc);
     }
     if (env_.trace != nullptr) {
-      env_.trace->Append(pid_, ftx_sm::EventKind::kCommit, -1, false, "", sm.atomic_group);
+      env_.trace->Append(pid_, ftx_sm::EventKind::kCommit, -1, false, "", staged.atomic_group);
     }
     if (commit_hist_ != nullptr) {
-      commit_hist_->Observe(sm.capture_cost.nanos() + cost.nanos() / records);
+      commit_hist_->Observe(total.nanos());
+    }
+    if (env_.tracer != nullptr) {
+      env_.tracer->Span(pid_, ftx_obs::TraceLane::kStorage, "dc",
+                         staged.coordinated ? "commit(2pc)" : "commit", staged.begin, end);
     }
   }
-  if (env_.tracer != nullptr) {
-    env_.tracer->Span(pid_, ftx_obs::TraceLane::kStorage, "dc",
-                       "commit(window x" + std::to_string(records) + ")", base, base + cost);
-  }
-  env_.network->ReleaseAllDelivered(pid_);
-  staged_meta_.clear();
-  return cost;
+  env_.network->ReleaseAllDelivered(pid_);  // dependencies up to here are now stable
+  staged_.clear();
+  return charge;
 }
 
 void Runtime::DropStagedCommits() {
   if (env_.commit_pipeline != nullptr) {
     env_.commit_pipeline->Drop();
   }
-  staged_meta_.clear();
+  staged_.clear();
 }
 
 void Runtime::AppendCoordinationEvent(ftx_sm::EventKind kind, int64_t message_id) {
@@ -505,13 +441,9 @@ void Runtime::ChargeToStep(ftx::Duration cost) {
   }
 }
 
-ftx::Duration Runtime::CommitNow(bool coordinated, bool charge_inline, int64_t atomic_group) {
+ftx::Duration Runtime::CommitNow(bool coordinated, int64_t atomic_group) {
   ftx::Duration cost = DoCommit(coordinated, atomic_group);
-  if (charge_inline) {
-    Charge(cost);
-  } else {
-    pending_overhead_ += cost;
-  }
+  pending_overhead_ += cost;
   return cost;
 }
 
@@ -606,8 +538,6 @@ ftx::Duration Runtime::Recover() {
   }
 
   alive_ = true;
-  crashed_ = false;
-  crash_reason_.clear();
   pending_commit_ = false;  // cancelled by the rollback
   protocol_->OnCommitted();
 
@@ -663,8 +593,6 @@ ftx::Duration Runtime::RestartFromScratch() {
   pending_commit_ = false;
   pending_overhead_ = ftx::Duration();
   alive_ = true;
-  crashed_ = false;
-  crash_reason_.clear();
   if (protocol_ != nullptr) {
     protocol_->OnCommitted();
   }
@@ -963,11 +891,6 @@ void Runtime::Crash(const std::string& reason) {
     env_.trace->Append(pid_, ftx_sm::EventKind::kCrash, -1, false, reason);
   }
   alive_ = false;
-  crashed_ = true;
-  crash_reason_ = reason;
-  if (crash_handler_) {
-    crash_handler_(reason);
-  }
 }
 
 void Runtime::MarkFaultActivation() {

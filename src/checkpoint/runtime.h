@@ -117,10 +117,11 @@ struct Environment {
   ftx_rec::OutputRecorder* recorder = nullptr;
   ftx_store::StableStore* store = nullptr;
   ftx_store::RedoLog* redo_log = nullptr;
-  // Optional group-commit staging pipeline over redo_log. When present and
-  // its policy is enabled, the runtime stages commits here and a whole
-  // window is persisted under one sync pair (flushed before anything
-  // externally visible escapes — the Save-work invariant is untouched).
+  // Group-commit staging pipeline over redo_log; required in recoverable
+  // mode whenever redo_log is set. Every DC-disk commit stages its record
+  // here, and a whole window persists under one sync pair (flushed before
+  // anything externally visible escapes — the Save-work invariant is
+  // untouched). A one-record window is the paper's commit.
   ftx_store::CommitPipeline* commit_pipeline = nullptr;
   // Initiates a coordinated commit round over the given participant scope.
   std::function<void(ftx_proto::CoordinationScope)> coordinated_commit;
@@ -160,10 +161,10 @@ class Runtime : public ProcessEnv {
   ftx::Duration RestartFromScratch();
 
   // Local commit; exposed for 2PC participation (the coordinator commits
-  // other processes through this). Returns the commit's simulated cost;
-  // when `charge_inline` is false the cost is added to pending overhead and
-  // charged at this process's next step.
-  ftx::Duration CommitNow(bool coordinated, bool charge_inline, int64_t atomic_group = -1);
+  // other processes through this). Returns the commit's simulated cost,
+  // which is also added to pending overhead and charged at this process's
+  // next step.
+  ftx::Duration CommitNow(bool coordinated, int64_t atomic_group = -1);
 
   // --- 2PC coordination hooks (used by the Computation runner) ---
 
@@ -179,8 +180,6 @@ class Runtime : public ProcessEnv {
 
   bool alive() const { return alive_; }
   bool done() const { return done_; }
-  bool crashed() const { return crashed_; }
-  const std::string& crash_reason() const { return crash_reason_; }
   const RuntimeStats& stats() const { return stats_; }
   // Phase decomposition of the most recent recovery (zeroed until one runs).
   const RecoveryBreakdown& last_recovery() const { return last_recovery_; }
@@ -189,10 +188,6 @@ class Runtime : public ProcessEnv {
 
   // Scripted user input (the workload's keystrokes/commands).
   void SetInputScript(std::vector<ftx::Bytes> script);
-
-  // Installs a hook invoked on crash events (the Computation runner uses it
-  // to schedule recovery or end the experiment).
-  void SetCrashHandler(std::function<void(const std::string&)> handler);
 
   // --- ProcessEnv ---
   int pid() const override { return pid_; }
@@ -244,11 +239,12 @@ class Runtime : public ProcessEnv {
     }
   };
 
-  // One staged (not yet durable) group commit's deferred bookkeeping: what
-  // the runtime still owes the observers — audit cost breakdown, kCommit
-  // trace event, retained-message release — once the window's sync lands.
-  // The storage-side redo record itself is staged in env_.commit_pipeline.
-  struct StagedCommitMeta {
+  // One commit in the open window, not yet persisted: what the runtime
+  // still owes the observers — audit cost breakdown, kCommit trace event,
+  // histogram sample, tracer span — once the window's sync lands. On
+  // DC-disk the redo record itself is staged in env_.commit_pipeline; a Rio
+  // commit has nothing to stage.
+  struct StagedCommit {
     bool coordinated = false;
     int64_t atomic_group = -1;
     int64_t pages = 0;
@@ -258,7 +254,7 @@ class Runtime : public ProcessEnv {
                                  // portion a pipelined implementation hides
                                  // under the persist of earlier records
     ftx::Duration reprotect_cost;
-    int64_t begin_ns = 0;  // simulated stage instant (audit interval start)
+    ftx::TimePoint begin;  // simulated stage instant (reported interval start)
   };
 
   // Auxiliary (non-segment) state that must travel with commits.
@@ -285,6 +281,11 @@ class Runtime : public ProcessEnv {
   void AppendTraceEvent(ftx_proto::AppEvent event, int64_t message_id, bool logged,
                         const char* label);
   void Charge(ftx::Duration d) { step_cost_ += d; }
+  // The simulated instant this process's accrued but not yet elapsed cost
+  // reaches (the clock itself only advances between events).
+  ftx::TimePoint AccruedNow() const {
+    return Now() + (in_step_ ? step_cost_ : pending_overhead_);
+  }
   bool InNdReplay() const { return nd_consumed_ < nd_log_.size(); }
 
   // Performs a deferred commit-after, if one is pending. Called at the next
@@ -297,19 +298,23 @@ class Runtime : public ProcessEnv {
   // true commit instant.
   void FlushPendingCommit();
 
+  // Captures a commit and stages it into the open window, flushing the
+  // window when the batching policy trips, when the commit is coordinated,
+  // and always on Rio. Returns the simulated cost, flush included; the
+  // caller charges it.
   ftx::Duration DoCommit(bool coordinated, int64_t atomic_group = -1);
 
-  // True when commits are being staged into group-commit windows: an
-  // enabled CommitPipeline is attached, the store is a redo log (DC-disk),
-  // and the runtime is recoverable.
-  bool GroupCommitActive() const;
-
-  // Persists the open group-commit window — one pair of sync I/Os for every
-  // staged record — then emits the deferred per-record observers (audit
-  // breakdown, kCommit trace events in stage order) and releases retained
-  // messages. Returns the window's simulated cost after the pipeline
-  // overlap credit; zero when nothing is staged. The caller charges it.
-  ftx::Duration FlushCommitWindow();
+  // The one place commits are persisted and reported. Persists the open
+  // window under one StableStore::PersistCost over its summed payload (one
+  // pair of sync I/Os on DC-disk), then reports every staged commit in
+  // stage order — audit cost breakdown, kCommit trace event, histogram
+  // sample, tracer span — and releases retained messages. Each commit
+  // reports fixed + capture + re-protect + its share of the window charge.
+  // `uncharged` is cost the caller has accrued but not yet charged (the
+  // stage cost when DoCommit flushes), which the window's I/O waits for.
+  // Returns the window's simulated cost after the pipeline overlap credit;
+  // zero when nothing is staged. The caller charges it.
+  ftx::Duration FlushCommitWindow(ftx::Duration uncharged = ftx::Duration());
 
   // Crash/kill/restart path: staged records never became durable and were
   // never reported committed — forget them (all-or-prefix semantics).
@@ -333,10 +338,7 @@ class Runtime : public ProcessEnv {
 
   bool alive_ = true;
   bool done_ = false;
-  bool crashed_ = false;
   bool in_step_ = false;
-  std::string crash_reason_;
-  std::function<void(const std::string&)> crash_handler_;
 
   std::vector<ftx::Bytes> input_script_;
   size_t input_cursor_ = 0;
@@ -353,9 +355,9 @@ class Runtime : public ProcessEnv {
   int64_t step_count_ = 0;
   bool pending_commit_ = false;
   CommittedMeta committed_;
-  // Deferred observer bookkeeping for records staged in the group-commit
-  // pipeline, parallel (same order) to env_.commit_pipeline's window.
-  std::vector<StagedCommitMeta> staged_meta_;
+  // Commits in the open window, in stage order; on DC-disk parallel to
+  // env_.commit_pipeline's staged records.
+  std::vector<StagedCommit> staged_;
 
   ftx::Duration step_cost_;
   ftx::Duration pending_overhead_;  // costs charged outside a step (2PC)

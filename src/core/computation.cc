@@ -124,13 +124,9 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
         journal->SetClock([this]() { return sim_->Now(); });
         redo_log->AttachJournal(journal);
       }
-      if (options_.group_commit.enabled) {
-        commit_pipelines_.push_back(
-            std::make_unique<ftx_store::CommitPipeline>(redo_log, options_.group_commit));
-        commit_pipeline = commit_pipelines_.back().get();
-      } else {
-        commit_pipelines_.push_back(nullptr);
-      }
+      commit_pipelines_.push_back(
+          std::make_unique<ftx_store::CommitPipeline>(redo_log, options_.group_commit));
+      commit_pipeline = commit_pipelines_.back().get();
     } else if (options_.store == StoreKind::kVolatileMemory) {
       disks_.push_back(nullptr);
       stores_.push_back(std::make_unique<ftx_store::MemoryStore>());
@@ -391,8 +387,7 @@ void Computation::CoordinatedCommit(int initiator, ftx_proto::CoordinationScope 
     int64_t prepare_id = next_coord_message_id_++;
     init_rt.AppendCoordinationEvent(ftx_sm::EventKind::kSend, prepare_id);
     rt.AppendCoordinationEvent(ftx_sm::EventKind::kReceive, prepare_id);
-    Duration commit_cost =
-        rt.CommitNow(/*coordinated=*/true, /*charge_inline=*/false, atomic_group);
+    Duration commit_cost = rt.CommitNow(/*coordinated=*/true, atomic_group);
     max_participant_commit = std::max(max_participant_commit, commit_cost);
     int64_t ack_id = next_coord_message_id_++;
     rt.AppendCoordinationEvent(ftx_sm::EventKind::kSend, ack_id);
@@ -406,7 +401,7 @@ void Computation::CoordinatedCommit(int initiator, ftx_proto::CoordinationScope 
     round += options_.network.base_latency * 2;
     round += max_participant_commit;
   }
-  round += init_rt.CommitNow(/*coordinated=*/false, /*charge_inline=*/false, atomic_group);
+  round += init_rt.CommitNow(/*coordinated=*/false, atomic_group);
   init_rt.ChargeToStep(round);
 
   metrics_.GetCounter("dc.2pc_rounds")->Increment();

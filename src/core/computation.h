@@ -74,13 +74,13 @@ struct ComputationOptions {
   // every byte ever committed, and only the crash-state exploration engine
   // (src/torture/) consumes it. Never changes any simulated quantity.
   bool journal_disk_writes = false;
-  // DC-disk only: group-commit batching policy. Off by default — batching
-  // changes the disk write schedule and therefore simulated commit
-  // latencies, so golden-reproducing runs must leave it disabled (a
-  // disabled policy is byte-identical to one-sync-pair-per-commit). When
-  // enabled, each runtime stages commits into a ftx_store::CommitPipeline
-  // and whole windows persist under a single sync pair; the runtime forces
-  // a flush before any visible/send event, so Save-work is unaffected.
+  // DC-disk only: group-commit batching policy. Every DC-disk runtime
+  // stages its commits into a ftx_store::CommitPipeline, and each window
+  // persists under a single sync pair; the runtime forces a flush before
+  // any visible/send event, so Save-work is unaffected. The default
+  // one-record window is one sync pair per commit, the paper's DC-disk.
+  // Larger windows change the disk write schedule and therefore simulated
+  // commit latencies, so golden-reproducing runs keep the default.
   ftx_store::BatchPolicy group_commit;
   // Automatic recovery after a crash event (propagation-failure studies).
   bool auto_recover = true;
@@ -194,7 +194,8 @@ class Computation {
   // a scheduled recovery.
   ftx_store::RedoLog* redo_log(int pid);
   ftx_store::WriteJournal* write_journal(int pid);
-  // Non-null only in DC-disk mode with options.group_commit.enabled.
+  // DC-disk only (nullptr otherwise): the machine's group-commit pipeline,
+  // which every commit of a DC-disk process stages through.
   ftx_store::CommitPipeline* commit_pipeline(int pid);
   const ComputationOptions& options() const { return options_; }
   int recovery_attempts(int pid) const;

@@ -190,8 +190,6 @@ void Registry::RegisterGaugeProbe(const std::string& name, std::function<double(
   entries_[name] = std::move(entry);
 }
 
-void Registry::Unregister(const std::string& name) { entries_.erase(name); }
-
 bool Registry::Contains(std::string_view name) const {
   return entries_.find(name) != entries_.end();
 }

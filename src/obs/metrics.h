@@ -188,11 +188,10 @@ class Registry {
                           std::vector<int64_t> bounds = DefaultLatencyBoundsNs());
 
   // Probe-backed instruments: the closure is evaluated at Snapshot() time.
-  // The owner of the probed state must outlive the registry (or call
-  // Unregister). Registering an existing name replaces the probe.
+  // The owner of the probed state must outlive every Snapshot() of the
+  // registry. Registering an existing name replaces the probe.
   void RegisterCounterProbe(const std::string& name, std::function<int64_t()> probe);
   void RegisterGaugeProbe(const std::string& name, std::function<double()> probe);
-  void Unregister(const std::string& name);
 
   bool Contains(std::string_view name) const;
   size_t size() const { return entries_.size(); }

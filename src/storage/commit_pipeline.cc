@@ -7,7 +7,7 @@
 namespace ftx_store {
 
 bool CommitPipeline::Stage(RedoRecord record) {
-  staged_bytes_ += record.PayloadBytes() + 64;  // record header, as Append bills it
+  staged_bytes_ += record.PayloadBytes() + 64;  // record header, as AppendBatch bills it
   staged_.push_back(std::move(record));
   return static_cast<int64_t>(staged_.size()) >= policy_.max_records ||
          staged_bytes_ >= policy_.max_bytes;

@@ -1,20 +1,19 @@
 // Group-commit staging pipeline for the DC-disk redo log.
 //
 // The paper's DC-disk pays two synchronous I/Os (seek + rotation each) per
-// commit — the dominant cost at small record sizes. The pipeline amortizes
-// that mechanical overhead: commits *stage* their redo records here, and a
-// whole window of staged records is persisted by RedoLog::AppendBatch under
-// a single pair of sync barriers. The Save-work invariant is untouched
-// because staging is invisible to the outside world — a commit is only
-// *reported* committed (trace event, message release, externalization)
-// after its window's sync completes, and the runtime forces a flush before
-// any nondeterminism-visible event escapes.
+// commit — the dominant cost at small record sizes. Every DC-disk commit
+// *stages* its redo record here, and a whole window of staged records is
+// persisted by RedoLog::AppendBatch under a single pair of sync barriers,
+// which amortizes that mechanical overhead over the window. The Save-work
+// invariant is untouched because staging is invisible to the outside
+// world — a commit is only *reported* committed (trace event, message
+// release, externalization) after its window's sync completes, and the
+// runtime forces a flush before any nondeterminism-visible event escapes.
 //
-// The batching policy is opt-in (enabled = false leaves every commit a
-// singleton window, byte-identical to the unbatched path). A window closes
-// when it reaches max_records, when its payload crosses max_bytes, or when
-// the caller forces a flush (ND-visible event, coordinated commit, clean
-// shutdown).
+// The default policy's one-record window is exactly the paper's commit:
+// one sync pair per record. A window closes when it reaches max_records,
+// when its payload crosses max_bytes, or when the caller forces a flush
+// (ND-visible event, coordinated commit, clean shutdown).
 //
 // The pipeline owns only the storage-side state (the staged records and
 // their payload accounting); per-record runtime bookkeeping — costs to
@@ -31,13 +30,13 @@
 
 namespace ftx_store {
 
-// Group-commit batching policy. Disabled by default: batching changes the
-// sector/barrier write schedule (and therefore simulated commit latencies),
-// so runs meant to reproduce the committed goldens must leave it off.
+// Group-commit batching policy. The default one-record window keeps one
+// sync pair per commit; larger windows change the sector/barrier write
+// schedule (and therefore simulated commit latencies), so runs meant to
+// reproduce the committed goldens keep the default.
 struct BatchPolicy {
-  bool enabled = false;
-  // Window closes when it holds this many records...
-  int64_t max_records = 8;
+  // Window closes when it holds this many records (<= 1: every record)...
+  int64_t max_records = 1;
   // ...or when its summed payload (PayloadBytes + header) crosses this.
   // The record that crosses the line still joins the window (flush happens
   // right after staging it), so a single oversized record never wedges.
@@ -55,7 +54,7 @@ class CommitPipeline {
 
   // Persists the open window via RedoLog::AppendBatch — one sync window for
   // everything staged. Returns the summed payload bytes appended (what the
-  // unbatched path's Append returns per record), or 0 when nothing staged.
+  // window's I/O is billed for), or 0 when nothing staged.
   int64_t Flush();
 
   // Crash/kill path: forget the staged window. Staged records were never

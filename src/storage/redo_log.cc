@@ -50,12 +50,6 @@ void RedoLog::AttachJournal(WriteJournal* journal) {
   journal_offsets_.clear();
 }
 
-int64_t RedoLog::Append(RedoRecord record) {
-  std::vector<RedoRecord> batch;
-  batch.push_back(std::move(record));
-  return AppendBatch(std::move(batch));
-}
-
 int64_t RedoLog::AppendBatch(std::vector<RedoRecord> batch) {
   FTX_CHECK(!batch.empty());
   int64_t payload_total = 0;

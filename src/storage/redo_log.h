@@ -83,20 +83,15 @@ class WriteJournal;
 
 class RedoLog {
  public:
-  // Appends a record; returns its payload size in bytes (for I/O charging).
-  // Equivalent to AppendBatch of a single record: one sync window.
-  int64_t Append(RedoRecord record);
-
   // Group commit: appends a whole window of records under ONE pair of sync
   // barriers — all record bodies land contiguously, one barrier, then one
   // commit slot vouching for the entire window (it carries the last
   // record's sequence; SelectCommitSlot's [log_start, log_end) spans every
   // record in the window), one barrier. Slot parity alternates per
   // *window*, not per record, so the slot never overwrites the sector that
-  // vouches for the previous window. With singleton windows this emits
-  // exactly the same journal ops as Append — window count equals sequence
-  // — which is what keeps unbatched runs byte-identical to the goldens.
-  // Returns the summed payload bytes (for I/O charging).
+  // vouches for the previous window. A singleton window is the paper's
+  // two-I/O commit, and window count then equals sequence. Returns the
+  // summed payload bytes (for I/O charging).
   int64_t AppendBatch(std::vector<RedoRecord> batch);
 
   // Full record history (recovery replays every record in order).
@@ -109,11 +104,11 @@ class RedoLog {
   void TruncateThrough(int64_t sequence);
 
   // Attaches a sector-granular write journal (owned by the machine's
-  // DiskModel): every Append then emits the commit's two synchronous I/Os as
-  // journal ops — record sectors + barrier, commit-slot sector + barrier —
-  // and TruncateThrough emits the slot rewrite that retires the prefix. The
-  // crash-state exploration engine replays these ops to build survivor
-  // images (see src/storage/log_image.h). nullptr detaches.
+  // DiskModel): every AppendBatch then emits the window's two synchronous
+  // I/Os as journal ops — record sectors + barrier, commit-slot sector +
+  // barrier — and TruncateThrough emits the slot rewrite that retires the
+  // prefix. The crash-state exploration engine replays these ops to build
+  // survivor images (see src/storage/log_image.h). nullptr detaches.
   void AttachJournal(WriteJournal* journal);
 
   // Replaces the in-memory record chain with what survived on disk — the
@@ -122,7 +117,6 @@ class RedoLog {
   // be contiguous; next_sequence resumes after the last survivor.
   void RestoreForRecovery(std::vector<RedoRecord> records);
 
-  int64_t bytes_written() const { return bytes_written_; }
   int64_t next_sequence() const { return next_sequence_; }
 
   // Exposes log counters through a metrics registry under

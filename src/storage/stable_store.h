@@ -31,19 +31,12 @@ class StableStore {
  public:
   virtual ~StableStore() = default;
 
-  // Cost of durably persisting one commit record of `bytes` payload.
-  virtual ftx::Duration PersistCost(int64_t bytes) = 0;
-
-  // Cost of durably persisting a group-commit window of `records` commit
-  // records totalling `bytes` payload under ONE pair of sync I/Os: the
+  // Cost of durably persisting one commit window — one or more commit
+  // records totalling `bytes` payload — under ONE pair of sync I/Os: the
   // mechanical overhead (seeks/rotations for DC-disk) is paid once for the
-  // window, only the transfer scales with the data. WindowPersistCost(1, b)
-  // must equal PersistCost(b) — singleton windows are exactly the unbatched
-  // path, which is what keeps batching-off runs byte-identical.
-  virtual ftx::Duration WindowPersistCost(int64_t records, int64_t bytes) {
-    (void)records;
-    return PersistCost(bytes);
-  }
+  // window, only the transfer scales with the data. A one-record window is
+  // the paper's commit.
+  virtual ftx::Duration PersistCost(int64_t bytes) = 0;
 
   // Cost of appending one ND-log record of `bytes` payload (the -LOG
   // protocols pay this per logged event instead of committing).
@@ -120,20 +113,10 @@ class DiskStore : public StableStore {
   ftx::Duration PersistCost(int64_t bytes) override {
     const DiskParameters& p = disk_->parameters();
     ftx::Duration rotation = p.half_rotation * 2;
-    // Two synchronous I/Os: the redo record and the commit sector.
-    ftx::Duration cost = (p.average_seek + rotation) * 2;
-    cost += ftx::Nanoseconds(p.per_byte.nanos() * bytes);
-    disk_->NoteSyncWrite(bytes, /*ios=*/2);
-    return cost;
-  }
-  ftx::Duration WindowPersistCost(int64_t records, int64_t bytes) override {
-    (void)records;
-    const DiskParameters& p = disk_->parameters();
-    ftx::Duration rotation = p.half_rotation * 2;
-    // Group commit's whole point: the window still pays exactly two
-    // synchronous I/Os — all record bodies under one barrier, the one
-    // commit slot under the other — so seek+rotation is amortized across
-    // every record in the window and only the transfer grows with payload.
+    // Two synchronous I/Os: the window's redo records under one barrier,
+    // then the one commit sector vouching for them under the other — so
+    // seek+rotation is amortized across every record in the window and
+    // only the transfer grows with payload.
     ftx::Duration cost = (p.average_seek + rotation) * 2;
     cost += ftx::Nanoseconds(p.per_byte.nanos() * bytes);
     disk_->NoteSyncWrite(bytes, /*ios=*/2);

@@ -12,10 +12,11 @@
 // subset of the sector writes issued since the last barrier (the in-flight
 // epoch the disk was free to reorder).
 //
-// Producers: RedoLog::Append emits the record-body sectors, a barrier, the
-// commit-slot sector, and a second barrier (the paper's two-sync-I/O
-// checkpoint); RedoLog::TruncateThrough emits the slot rewrite that retires
-// a log prefix. The journal is owned by the DiskModel of the machine whose
+// Producers: RedoLog::AppendBatch emits a window's record-body sectors, a
+// barrier, the commit-slot sector, and a second barrier (the paper's
+// two-sync-I/O checkpoint for a one-record window);
+// RedoLog::TruncateThrough emits the slot rewrite that retires a log
+// prefix. The journal is owned by the DiskModel of the machine whose
 // platters it describes (see DiskModel::EnableJournal).
 
 #ifndef FTX_SRC_STORAGE_WRITE_JOURNAL_H_

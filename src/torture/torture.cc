@@ -588,10 +588,7 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
   // locals on the shard workers.
   const int64_t batch_records = report.batch_records;
   auto apply_batch = [batch_records](ftx::ComputationOptions* o) {
-    if (batch_records > 1) {
-      o->group_commit.enabled = true;
-      o->group_commit.max_records = batch_records;
-    }
+    o->group_commit.max_records = batch_records;
   };
 
   ftx::RunSpec base;

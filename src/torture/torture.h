@@ -68,10 +68,10 @@ struct TortureSpec {
   // window). Smoke mode uses this to bound depth; --full leaves it at 0.
   int max_commit_windows = 0;
   // Group-commit window size for the traced and replayed runs (maps to
-  // ftx_store::BatchPolicy::max_records; <= 1 = the historical
-  // one-sync-pair-per-commit path). When > 1 the traced run stages commits
-  // through the CommitPipeline and whole windows persist under a single
-  // barrier pair, so the enumeration explores batched window shapes: the
+  // ftx_store::BatchPolicy::max_records; <= 1 = one record per window, one
+  // sync pair per commit). When > 1 the traced run's commits persist in
+  // windows of up to that many records under a single barrier pair, so
+  // the enumeration explores batched window shapes: the
   // in-flight slot may advance the survivor to the window's *end* (several
   // sequences past the last durable one), and an interrupted window must
   // leave all-or-a-prefix of its records intact — never a hole.

@@ -540,4 +540,53 @@ TEST(CausalAuditIntegration, CommitCostAttributionPartitionsTheCommit) {
   }
 }
 
+TEST(CausalAuditIntegration, CommitObserversAgreeWithTheChargedCost) {
+  // The dc.commit_ns histogram, the per-process dc.commit_ns counters
+  // (RuntimeStats::commit_time) and the audited cost breakdowns all report
+  // the same total, with and without group commit; a commit in its own
+  // one-record window occupies exactly its cost on the simulated timeline.
+  for (int64_t max_records : {1, 8}) {
+    SCOPED_TRACE("max_records " + std::to_string(max_records));
+    ftx::RunSpec spec;
+    spec.workload = "magic";
+    spec.protocol = "cand";
+    spec.scale = 25;
+    spec.store = ftx::StoreKind::kDisk;
+    spec.audit = true;
+    spec.tweak_options = [max_records](ftx::ComputationOptions* options) {
+      options->group_commit.max_records = max_records;
+      options->audit_options.flight_capacity = 4096;  // the run appends ~260 events
+    };
+    auto computation = ftx::BuildComputation(spec);
+    auto result = computation->Run();
+    ASSERT_TRUE(result.all_done);
+    ASSERT_NE(computation->audit(), nullptr);
+    const ftx_causal::CausalLedger& ledger = computation->audit()->ledger();
+    ASSERT_EQ(ledger.size(), ledger.total_appended()) << "the ring must hold the whole run";
+
+    int64_t audited_commits = 0;
+    int64_t audited_ns = 0;
+    ledger.ForEach([&](const ftx_causal::LedgerEntry& entry) {
+      if (entry.kind != ftx_sm::EventKind::kCommit || !entry.has_costs) {
+        return;
+      }
+      ++audited_commits;
+      audited_ns += entry.costs.TotalNs();
+      if (max_records == 1) {
+        EXPECT_EQ(entry.costs.TotalNs(), entry.costs.end_ns - entry.costs.begin_ns);
+      }
+    });
+    int64_t stats_ns = 0;
+    for (const ftx_dc::RuntimeStats& stats : result.per_process) {
+      stats_ns += stats.commit_time.nanos();
+    }
+    const ftx_obs::Histogram* histogram = computation->metrics().GetHistogram("dc.commit_ns");
+    EXPECT_EQ(histogram->count(), result.total_commits);
+    EXPECT_EQ(audited_commits, result.total_commits);
+    EXPECT_EQ(histogram->sum(), computation->metrics().Snapshot().TotalCounter("dc.commit_ns"));
+    EXPECT_EQ(histogram->sum(), stats_ns);
+    EXPECT_EQ(histogram->sum(), audited_ns);
+  }
+}
+
 }  // namespace

@@ -223,7 +223,6 @@ TEST(Runtime, GroupCommitMatchesUnbatchedRunAndAuditsClean) {
     options.store = ftx::StoreKind::kDisk;
     options.audit = true;
     if (batched) {
-      options.group_commit.enabled = true;
       options.group_commit.max_records = 8;
     }
     std::vector<std::unique_ptr<ftx_dc::App>> apps;
@@ -245,9 +244,12 @@ TEST(Runtime, GroupCommitMatchesUnbatchedRunAndAuditsClean) {
   EXPECT_EQ(grouped_state.accumulator, base_state.accumulator);
   ASSERT_NE(batched->audit(), nullptr);
   EXPECT_EQ(batched->audit()->violations(), 0);
-  // Clean shutdown leaves nothing staged.
-  ASSERT_NE(batched->commit_pipeline(0), nullptr);
-  EXPECT_TRUE(batched->commit_pipeline(0)->empty());
+  // Every DC-disk process commits through a pipeline, and clean shutdown
+  // leaves nothing staged.
+  for (ftx::Computation* computation : {unbatched.get(), batched.get()}) {
+    ASSERT_NE(computation->commit_pipeline(0), nullptr);
+    EXPECT_TRUE(computation->commit_pipeline(0)->empty());
+  }
 }
 
 TEST(Runtime, GroupCommitSurvivesMidRunFailure) {
@@ -258,7 +260,6 @@ TEST(Runtime, GroupCommitSurvivesMidRunFailure) {
   options.seed = 7;
   options.protocol = "cand";
   options.store = ftx::StoreKind::kDisk;
-  options.group_commit.enabled = true;
   options.group_commit.max_records = 8;
   std::vector<std::unique_ptr<ftx_dc::App>> apps;
   apps.push_back(std::make_unique<CounterApp>());
@@ -317,6 +318,7 @@ struct RuntimeDependencies {
   ftx_sm::Trace trace{1};
   ftx_rec::OutputRecorder recorder;
   ftx_store::RioStore store;
+  ftx_store::RedoLog redo_log;
   CounterApp app;
 
   ftx_dc::Environment Full() {
@@ -378,6 +380,10 @@ TEST(RuntimeDeathTest, RecoverableModeAlsoNamesMissingTraceStoreAndProtocol) {
                "recoverable mode requires dependency 'store'");
   EXPECT_DEATH(deps.Construct(deps.Full(), recoverable, /*with_protocol=*/false),
                "recoverable mode requires dependency 'protocol'");
+  ftx_dc::Environment without_pipeline = deps.Full();
+  without_pipeline.redo_log = &deps.redo_log;
+  EXPECT_DEATH(deps.Construct(without_pipeline, recoverable),
+               "a redo log requires dependency 'commit_pipeline'");
 }
 
 }  // namespace

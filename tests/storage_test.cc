@@ -195,10 +195,10 @@ TEST(RedoLog, AppendsAssignSequences) {
   ftx::Bytes image(4096, 1);
   ftx_store::RedoRecord a;
   a.AppendPage(0, image.data(), image.size());
-  log.Append(std::move(a));
+  log.AppendBatch({std::move(a)});
   ftx_store::RedoRecord b;
   b.metadata = ftx::Bytes(64, 2);
-  log.Append(std::move(b));
+  log.AppendBatch({std::move(b)});
 
   ASSERT_EQ(log.records().size(), 2u);
   EXPECT_EQ(log.records()[0].sequence, 0);
@@ -248,7 +248,7 @@ TEST(RedoRecord, ValidationCatchesCorruptedPayload) {
 TEST(RedoLog, TruncateDropsPrefix) {
   ftx_store::RedoLog log;
   for (int i = 0; i < 5; ++i) {
-    log.Append(ftx_store::RedoRecord{});
+    log.AppendBatch({ftx_store::RedoRecord{}});
   }
   log.TruncateThrough(2);
   ASSERT_EQ(log.records().size(), 2u);
@@ -269,7 +269,6 @@ TEST(CommitPipeline, WindowFillsAtMaxRecordsAndFlushesUnderOneSlot) {
   ftx_store::WriteJournal journal;
   log.AttachJournal(&journal);
   ftx_store::BatchPolicy policy;
-  policy.enabled = true;
   policy.max_records = 3;
   ftx_store::CommitPipeline pipeline(&log, policy);
 
@@ -304,7 +303,6 @@ TEST(CommitPipeline, MaxBytesOverflowRecordJoinsItsWindow) {
   // prefix.
   ftx_store::RedoLog log;
   ftx_store::BatchPolicy policy;
-  policy.enabled = true;
   policy.max_records = 100;
   policy.max_bytes = 6000;
   ftx_store::CommitPipeline pipeline(&log, policy);
@@ -330,7 +328,6 @@ TEST(CommitPipeline, DropDiscardsStagedWindowWithoutPersisting) {
   // never happened (they were never reported committed).
   ftx_store::RedoLog log;
   ftx_store::BatchPolicy policy;
-  policy.enabled = true;
   policy.max_records = 8;
   ftx_store::CommitPipeline pipeline(&log, policy);
 

@@ -205,7 +205,7 @@ TEST_P(RedoLogProperty, SurvivorDecodeYieldsExactCommittedPrefix) {
     const int pages = 1 + static_cast<int>(rng.NextBounded(4));
     const size_t page_size = 256 << rng.NextBounded(5);  // 256..4096
     RedoRecord record = MakeRecord(&rng, pages, page_size);
-    log.Append(record);  // assigns sequence i
+    log.AppendBatch({record});  // assigns sequence i
     record.sequence = i;
     canonical.push_back(std::move(record));
   }
@@ -287,7 +287,7 @@ TEST(RedoLogJournal, TruncateThroughNarrowsTheSurvivor) {
   WriteJournal journal;
   log.AttachJournal(&journal);
   for (int i = 0; i < 5; ++i) {
-    log.Append(MakeRecord(&rng, 2, 1024));
+    log.AppendBatch({MakeRecord(&rng, 2, 1024)});
   }
   log.TruncateThrough(2);
 
@@ -312,14 +312,14 @@ TEST(RedoLog, RestoreForRecoveryReplacesChainAndResumesSequences) {
   ftx::Rng rng(22);
   RedoLog log;
   for (int i = 0; i < 6; ++i) {
-    log.Append(MakeRecord(&rng, 1, 512));
+    log.AppendBatch({MakeRecord(&rng, 1, 512)});
   }
   std::vector<RedoRecord> survivors(log.records().begin(), log.records().begin() + 3);
   log.RestoreForRecovery(std::move(survivors));
   ASSERT_EQ(log.records().size(), 3u);
   EXPECT_EQ(log.records().back().sequence, 2);
   EXPECT_EQ(log.next_sequence(), 3);
-  log.Append(MakeRecord(&rng, 1, 512));
+  log.AppendBatch({MakeRecord(&rng, 1, 512)});
   EXPECT_EQ(log.records().back().sequence, 3);
 }
 
