@@ -119,7 +119,7 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
       stores_.push_back(std::make_unique<ftx_store::DiskStore>(disks_.back().get()));
       redo_logs_.push_back(std::make_unique<ftx_store::RedoLog>());
       redo_log = redo_logs_.back().get();
-      if (options_.journal_disk_writes) {
+      if (options_.journal_disk_writes && pid == 0) {
         ftx_store::WriteJournal* journal = disks_.back()->EnableJournal();
         journal->SetClock([this]() { return sim_->Now(); });
         redo_log->AttachJournal(journal);

@@ -68,11 +68,12 @@ struct ComputationOptions {
   // ClockOf/EventHappensBefore (and therefore the causal audit) are
   // unavailable. Ignored (full clocks kept) when audit is on.
   bool lean_trace = false;
-  // DC-disk only: journal every redo-log disk write as sector-granular ops
-  // with barriers at the commit's two sync points (see
-  // src/storage/write_journal.h). Off by default — the journal retains
-  // every byte ever committed, and only the crash-state exploration engine
-  // (src/torture/) consumes it. Never changes any simulated quantity.
+  // DC-disk only: journal every redo-log disk write of machine 0 (process
+  // 0's disk) as sector-granular ops with barriers at the commit's two sync
+  // points (see src/storage/write_journal.h). Off by default — the journal
+  // retains every byte ever committed, and only the crash-state exploration
+  // engine (src/torture/) consumes it, reading machine 0's alone. Never
+  // changes any simulated quantity.
   bool journal_disk_writes = false;
   // DC-disk only: group-commit batching policy. Every DC-disk runtime
   // stages its commits into a ftx_store::CommitPipeline, and each window
@@ -188,10 +189,10 @@ class Computation {
   ftx_causal::CriticalPathTracker* critical_path() { return critical_path_.get(); }
   ftx_dc::Runtime& runtime(int pid);
   ftx_dc::App& app(int pid);
-  // DC-disk only (nullptr otherwise): the machine's redo log, and — when
-  // journal_disk_writes is set — its write-op journal. The torture engine
-  // uses these to collect op traces and to install survivor records before
-  // a scheduled recovery.
+  // DC-disk only (nullptr otherwise): the machine's redo log, and — for
+  // pid 0 when journal_disk_writes is set — its write-op journal. The
+  // torture engine uses these to collect op traces and to install survivor
+  // records before a scheduled recovery.
   ftx_store::RedoLog* redo_log(int pid);
   ftx_store::WriteJournal* write_journal(int pid);
   // DC-disk only (nullptr otherwise): the machine's group-commit pipeline,

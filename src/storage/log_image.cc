@@ -72,6 +72,11 @@ bool DecodeCommitSlot(const uint8_t* sector, size_t size, CommitSlot* slot) {
 //   zero padding to the next sector boundary
 inline constexpr int64_t kRecordHeaderBytes = 4 + 4 + 8 * 5 + 4 + 4;
 
+int64_t EncodedRecordBytes(const RedoRecord& record) {
+  return RoundUpToSector(kRecordHeaderBytes + static_cast<int64_t>(record.pages_payload.size()) +
+                         static_cast<int64_t>(record.metadata.size()));
+}
+
 ftx::Bytes EncodeRecord(const RedoRecord& record) {
   ftx::Bytes body;
   ftx::AppendValue(&body, record.sequence);
@@ -82,14 +87,16 @@ ftx::Bytes EncodeRecord(const RedoRecord& record) {
   ftx::AppendValue(&body, record.pages_crc);
   ftx::AppendValue(&body, ftx::Crc32(record.metadata.data(), record.metadata.size()));
 
+  const size_t encoded_bytes = static_cast<size_t>(EncodedRecordBytes(record));
   ftx::Bytes out;
+  out.reserve(encoded_bytes);
   ftx::AppendValue(&out, kRecordMagic);
   ftx::AppendValue(&out, ftx::Crc32(body.data(), body.size()));
   ftx::AppendRaw(&out, body.data(), body.size());
   FTX_CHECK_EQ(static_cast<int64_t>(out.size()), kRecordHeaderBytes);
   ftx::AppendRaw(&out, record.pages_payload.data(), record.pages_payload.size());
   ftx::AppendRaw(&out, record.metadata.data(), record.metadata.size());
-  out.resize(static_cast<size_t>(RoundUpToSector(static_cast<int64_t>(out.size()))), 0);
+  out.resize(encoded_bytes, 0);
   return out;
 }
 

@@ -65,6 +65,10 @@ bool DecodeCommitSlot(const uint8_t* sector, size_t size, CommitSlot* slot);
 // pages payload, metadata), zero-padded to a whole number of sectors.
 ftx::Bytes EncodeRecord(const RedoRecord& record);
 
+// EncodeRecord(record).size(), computed without encoding: where the record
+// ends in an on-disk layout, for callers that need offsets but not bytes.
+int64_t EncodedRecordBytes(const RedoRecord& record);
+
 enum class DecodeStatus {
   kOk,         // record decoded and fully validated
   kTruncated,  // framing claims more bytes than remain — clean tail end

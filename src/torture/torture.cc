@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -99,6 +100,8 @@ struct CheckContext {
   const std::vector<DiskOp>* ops = nullptr;
   // Concatenation of the canonical encoded records as laid out on disk from
   // kLogStartOffset (sector-aligned), plus each record's end offset in it.
+  // Only the records whose sectors the explored ops write are encoded; every
+  // record has an end offset.
   const ftx::Bytes* canonical = nullptr;
   const std::vector<int64_t>* record_end = nullptr;  // per sequence
   int64_t num_records = 0;
@@ -135,9 +138,13 @@ std::string CheckTailRecord(const CheckContext& ctx, const RedoRecord& tail, int
   if (next >= ctx.num_records) {
     return "intact tail record beyond the last canonical commit";
   }
-  const ftx::Bytes want = EncodeRecord(tail);
   const int64_t begin = CanonicalRecordBegin(ctx, next);
   const int64_t end = (*ctx.record_end)[static_cast<size_t>(next)];
+  if (end > static_cast<int64_t>(ctx.canonical->size())) {
+    return "intact tail record " + std::to_string(next) +
+           " lies past the records the explored ops write";
+  }
+  const ftx::Bytes want = EncodeRecord(tail);
   if (static_cast<int64_t>(want.size()) != end - begin ||
       std::memcmp(want.data(), ctx.canonical->data() + begin, want.size()) != 0) {
     return "intact tail record differs from canonical record " + std::to_string(next);
@@ -268,6 +275,7 @@ StateOutcome CheckStateBlackBox(const CheckContext& ctx, const CrashState& state
     const int64_t begin = CanonicalRecordBegin(ctx, survivor.start_sequence);
     const int64_t end = (*ctx.record_end)[static_cast<size_t>(m)];
     if (static_cast<int64_t>(image.size()) < kLogStartOffset + end ||
+        end > static_cast<int64_t>(ctx.canonical->size()) ||
         std::memcmp(image.data() + kLogStartOffset + begin, ctx.canonical->data() + begin,
                     static_cast<size_t>(end - begin)) != 0) {
       violate("survivor records differ from canonical commit bytes");
@@ -419,6 +427,8 @@ class RollingChecker {
     }
     const int64_t rel = offset - kLogStartOffset;
     bool matches;
+    // Explored writes stay inside the encoded records unless every record
+    // is encoded, so past them the layout holds zeros.
     if (rel >= static_cast<int64_t>(ctx_.canonical->size())) {
       matches = std::all_of(data, data + kSectorBytes, [](uint8_t b) { return b == 0; });
     } else {
@@ -566,107 +576,57 @@ ftx_obs::Json TortureReport::ToJsonRow() const {
   return row;
 }
 
-TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
-  std::unique_ptr<ftx::TrialPool> serial;
-  if (pool == nullptr) {
-    serial = std::make_unique<ftx::TrialPool>(1);
-    pool = serial.get();
-  }
+namespace {
 
-  TortureReport report;
-  report.workload = spec.workload;
-  report.protocol = spec.protocol;
-  report.seed = spec.seed;
-  report.scale = spec.scale > 0
-                     ? spec.scale
-                     : ftx_apps::DefaultScale(spec.workload, /*full_scale=*/false);
-  report.batch_records = spec.batch_records > 1 ? spec.batch_records : 1;
-
-  // Group-commit policy applied to every recoverable run of the exploration
-  // (traced and replayed alike, so the replay timeline reproduces the
-  // traced one). Captured by value: replay lambdas outlive this frame's
-  // locals on the shard workers.
-  const int64_t batch_records = report.batch_records;
-  auto apply_batch = [batch_records](ftx::ComputationOptions* o) {
-    o->group_commit.max_records = batch_records;
-  };
-
-  ftx::RunSpec base;
-  base.workload = spec.workload;
-  base.scale = report.scale;
-  base.seed = spec.seed;
-  base.interactive = spec.interactive;
-  base.protocol = spec.protocol;
-  base.store = ftx::StoreKind::kDisk;
-  base.tweak_options = apply_batch;
-
-  // Phase 1: failure-free baseline — the consistency oracle's reference.
-  ftx::RunSpec reference_spec = base;
-  reference_spec.mode = ftx_dc::RuntimeMode::kBaseline;
-  ftx::RunOutput reference = ftx::RunExperiment(reference_spec);
-
-  // Phase 2: the traced run. Machine 0's disk journals every redo-log
-  // write; the journal never changes a simulated quantity, so this run's
-  // timeline is identical to an unjournaled one.
-  ftx::RunSpec traced_spec = base;
-  traced_spec.mode = ftx_dc::RuntimeMode::kRecoverable;
-  traced_spec.audit = spec.audit;
-  traced_spec.tweak_options = [apply_batch](ftx::ComputationOptions* o) {
-    o->journal_disk_writes = true;
-    apply_batch(o);
-  };
-  std::unique_ptr<ftx::Computation> traced = ftx::BuildComputation(traced_spec);
-  ftx::ComputationResult traced_result = traced->Run();
-  FTX_CHECK_MSG(traced_result.all_done, "torture trace run did not complete");
-  report.num_processes = traced->num_processes();
-  ftx_causal::CausalAudit* audit = traced->audit();
-  if (audit != nullptr) {
-    audit->Finalize();  // idempotent (Run already finalized)
-    report.audited = true;
-    report.audit_violations = audit->violations();
-    report.audit_events = audit->ledger().total_appended();
-  }
-  // Records a flight dump of the traced run's causal tail for a torture
-  // violation found in a later (offline) phase. Called only from the
-  // single-threaded fold loops below — never from sharded workers.
-  auto record_violation_dump = [&report, audit](const std::string& diagnostic) {
-    if (audit == nullptr) {
-      return;
+// Phases 3 and 4 over the traced run's journal `ops` and record `chain`,
+// both read in place. Folds the state counts and verdicts into `report` and
+// returns every distinct survivor sequence.
+std::set<int64_t> CheckCrashStates(
+    const TortureSpec& spec, const std::vector<DiskOp>& ops, const std::vector<RedoRecord>& chain,
+    ftx::TrialPool* pool, TortureReport* report,
+    const std::function<void(const std::string&)>& record_violation_dump) {
+  // Depth cap: explore only the ops of the first max_commit_windows
+  // commits (every op carries its commit's sequence).
+  size_t explored_end = ops.size();
+  if (spec.max_commit_windows > 0) {
+    for (size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].sequence >= spec.max_commit_windows) {
+        explored_end = i;
+        break;
+      }
     }
-    const size_t retained_before = audit->flight().incidents().size();
-    audit->RecordIncident("torture violation: " + diagnostic, std::nullopt);
-    ++report.audit_incidents;
-    const auto& incidents = audit->flight().incidents();
-    if (incidents.size() > retained_before && report.audit_incident_dumps.size() < 5) {
-      report.audit_incident_dumps.push_back(incidents.back().dump);
-    }
-  };
-
-  const ftx_store::WriteJournal* journal = traced->write_journal(0);
-  FTX_CHECK_MSG(journal != nullptr, "traced run has no write journal");
-  const std::vector<DiskOp>& ops = journal->ops();
-  const std::vector<ftx_store::RedoRecord> canonical_records = traced->redo_log(0)->records();
-  report.commits = static_cast<int64_t>(canonical_records.size());
-  report.journal_ops = static_cast<int64_t>(ops.size());
-  FTX_CHECK_MSG(report.commits >= 2, "torture needs a multi-commit run");
+  }
+  report->explored_ops = static_cast<int64_t>(explored_end);
 
   // Canonical on-disk layout: records append contiguously from
   // kLogStartOffset, so the expected committed bytes for survivor m are a
-  // prefix of this concatenation.
-  ftx::Bytes canonical;
-  std::vector<int64_t> record_end;
-  std::vector<ftx::TimePoint> commit_time(canonical_records.size());
-  for (const ftx_store::RedoRecord& record : canonical_records) {
-    ftx::Bytes encoded = ftx_store::EncodeRecord(record);
-    ftx::AppendRaw(&canonical, encoded.data(), encoded.size());
-    record_end.push_back(static_cast<int64_t>(canonical.size()));
-  }
-  for (const DiskOp& op : ops) {
-    if (op.sequence >= 0 && op.sequence < report.commits &&
-        commit_time[static_cast<size_t>(op.sequence)] == ftx::TimePoint()) {
-      commit_time[static_cast<size_t>(op.sequence)] = op.time;
+  // prefix of this concatenation. Every record gets its end offset, but only
+  // the records whose sectors the explored ops write get bytes: no check
+  // reads past them, and a depth-capped exploration reaches few records.
+  int64_t explored_extent = 0;  // record-area bytes the explored ops write
+  for (size_t i = 0; i < explored_end; ++i) {
+    if (ops[i].kind == DiskOpKind::kSectorWrite && ops[i].offset >= kLogStartOffset) {
+      explored_extent = std::max(explored_extent, ops[i].offset + kSectorBytes - kLogStartOffset);
     }
   }
+  std::vector<int64_t> record_end;
+  record_end.reserve(chain.size());
+  size_t encoded_records = 0;
+  for (const RedoRecord& record : chain) {
+    const int64_t begin = record_end.empty() ? 0 : record_end.back();
+    if (begin < explored_extent) {
+      ++encoded_records;
+    }
+    record_end.push_back(begin + ftx_store::EncodedRecordBytes(record));
+  }
+  const int64_t encoded_bytes = encoded_records == 0 ? 0 : record_end[encoded_records - 1];
+  ftx::Bytes canonical;
+  canonical.reserve(static_cast<size_t>(encoded_bytes));
+  for (size_t i = 0; i < encoded_records; ++i) {
+    const ftx::Bytes encoded = EncodeRecord(chain[i]);
+    ftx::AppendRaw(&canonical, encoded.data(), encoded.size());
+  }
+  FTX_CHECK_EQ(static_cast<int64_t>(canonical.size()), encoded_bytes);
 
   // committed_at[c] = the checkpoint durable after the first c ops: the
   // highest sequence with both of its sync barriers in the prefix. Counted
@@ -712,19 +672,6 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
       issued_slots[slot.sequence].push_back(slot);
     }
   }
-
-  // Depth cap: explore only the ops of the first max_commit_windows
-  // commits (every op carries its commit's sequence).
-  size_t explored_end = ops.size();
-  if (spec.max_commit_windows > 0) {
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].sequence >= spec.max_commit_windows) {
-        explored_end = i;
-        break;
-      }
-    }
-  }
-  report.explored_ops = static_cast<int64_t>(explored_end);
 
   // Phase 3: enumerate crash states. All randomness derives from
   // (spec.seed, op index), so the state list — and therefore the whole
@@ -786,18 +733,18 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
   for (const CrashState& state : states) {
     switch (state.kind) {
       case CrashState::Kind::kPrefix:
-        ++report.prefix_states;
+        ++report->prefix_states;
         break;
       case CrashState::Kind::kTorn:
       case CrashState::Kind::kTornJunk:
-        ++report.torn_states;
+        ++report->torn_states;
         break;
       case CrashState::Kind::kReorder:
-        ++report.reorder_states;
+        ++report->reorder_states;
         break;
     }
   }
-  report.crash_states = static_cast<int64_t>(states.size());
+  report->crash_states = static_cast<int64_t>(states.size());
 
   // Window plan: one unit of parallel work per commit window (the ops
   // sharing one sequence number). States were generated in op order, so a
@@ -833,7 +780,7 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
   ctx.ops = &ops;
   ctx.canonical = &canonical;
   ctx.record_end = &record_end;
-  ctx.num_records = report.commits;
+  ctx.num_records = report->commits;
   ctx.committed_at = &committed_at;
   ctx.window_ends = &window_ends;
   ctx.issued_slots = &issued_slots;
@@ -925,30 +872,134 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
     for (const StateOutcome& outcome : window) {
       survivors.insert(outcome.survivor);
       if (outcome.tail_seen) {
-        ++report.tail_records_seen;
+        ++report->tail_records_seen;
       }
       if (outcome.blackbox) {
-        ++report.blackbox_states;
+        ++report->blackbox_states;
       }
       switch (outcome.survivor_class) {
         case 0:
-          ++report.survivor_none;
+          ++report->survivor_none;
           break;
         case 1:
-          ++report.survivor_committed;
+          ++report->survivor_committed;
           break;
         case 2:
-          ++report.survivor_inflight;
+          ++report->survivor_inflight;
           break;
         default:
-          ++report.violations;
-          if (report.violation_diagnostics.size() < 5) {
-            report.violation_diagnostics.push_back(outcome.violation);
+          ++report->violations;
+          if (report->violation_diagnostics.size() < 5) {
+            report->violation_diagnostics.push_back(outcome.violation);
           }
           record_violation_dump(outcome.violation);
           break;
       }
     }
+  }
+
+  return survivors;
+}
+
+}  // namespace
+
+TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
+  std::unique_ptr<ftx::TrialPool> serial;
+  if (pool == nullptr) {
+    serial = std::make_unique<ftx::TrialPool>(1);
+    pool = serial.get();
+  }
+
+  TortureReport report;
+  report.workload = spec.workload;
+  report.protocol = spec.protocol;
+  report.seed = spec.seed;
+  report.scale = spec.scale > 0
+                     ? spec.scale
+                     : ftx_apps::DefaultScale(spec.workload, /*full_scale=*/false);
+  report.batch_records = spec.batch_records > 1 ? spec.batch_records : 1;
+
+  // Group-commit policy applied to every recoverable run of the exploration
+  // (traced and replayed alike, so the replay timeline reproduces the
+  // traced one). Captured by value: replay lambdas outlive this frame's
+  // locals on the shard workers.
+  const int64_t batch_records = report.batch_records;
+  auto apply_batch = [batch_records](ftx::ComputationOptions* o) {
+    o->group_commit.max_records = batch_records;
+  };
+
+  ftx::RunSpec base;
+  base.workload = spec.workload;
+  base.scale = report.scale;
+  base.seed = spec.seed;
+  base.interactive = spec.interactive;
+  base.protocol = spec.protocol;
+  base.store = ftx::StoreKind::kDisk;
+  base.tweak_options = apply_batch;
+
+  // Phase 1: failure-free baseline — the consistency oracle's reference.
+  ftx::RunSpec reference_spec = base;
+  reference_spec.mode = ftx_dc::RuntimeMode::kBaseline;
+  ftx::RunOutput reference = ftx::RunExperiment(reference_spec);
+
+  // Phase 2: the traced run. Machine 0's disk journals every redo-log
+  // write; the journal never changes a simulated quantity, so this run's
+  // timeline is identical to an unjournaled one.
+  ftx::RunSpec traced_spec = base;
+  traced_spec.mode = ftx_dc::RuntimeMode::kRecoverable;
+  traced_spec.audit = spec.audit;
+  traced_spec.tweak_options = [apply_batch](ftx::ComputationOptions* o) {
+    o->journal_disk_writes = true;
+    apply_batch(o);
+  };
+  std::unique_ptr<ftx::Computation> traced = ftx::BuildComputation(traced_spec);
+  ftx::ComputationResult traced_result = traced->Run();
+  FTX_CHECK_MSG(traced_result.all_done, "torture trace run did not complete");
+  report.num_processes = traced->num_processes();
+  ftx_causal::CausalAudit* audit = traced->audit();
+  if (audit != nullptr) {
+    audit->Finalize();  // idempotent (Run already finalized)
+    report.audited = true;
+    report.audit_violations = audit->violations();
+    report.audit_events = audit->ledger().total_appended();
+  }
+  // Records a flight dump of the traced run's causal tail for a torture
+  // violation found in a later (offline) phase. Called only from the
+  // single-threaded fold loops of phases 4 and 5 — never from sharded
+  // workers.
+  auto record_violation_dump = [&report, audit](const std::string& diagnostic) {
+    if (audit == nullptr) {
+      return;
+    }
+    const size_t retained_before = audit->flight().incidents().size();
+    audit->RecordIncident("torture violation: " + diagnostic, std::nullopt);
+    ++report.audit_incidents;
+    const auto& incidents = audit->flight().incidents();
+    if (incidents.size() > retained_before && report.audit_incident_dumps.size() < 5) {
+      report.audit_incident_dumps.push_back(incidents.back().dump);
+    }
+  };
+
+  // Phases 3-4 read the traced run's journal and record chain in place;
+  // nothing they hand to phase 5 points into the traced run.
+  std::vector<ftx::TimePoint> commit_time;
+  std::set<int64_t> survivors;
+  {
+    const ftx_store::WriteJournal* journal = traced->write_journal(0);
+    FTX_CHECK_MSG(journal != nullptr, "traced run has no write journal");
+    const std::vector<DiskOp>& ops = journal->ops();
+    const std::vector<RedoRecord>& chain = traced->redo_log(0)->records();
+    report.commits = static_cast<int64_t>(chain.size());
+    report.journal_ops = static_cast<int64_t>(ops.size());
+    FTX_CHECK_MSG(report.commits >= 2, "torture needs a multi-commit run");
+    commit_time.resize(chain.size());
+    for (const DiskOp& op : ops) {
+      if (op.sequence >= 0 && op.sequence < report.commits &&
+          commit_time[static_cast<size_t>(op.sequence)] == ftx::TimePoint()) {
+        commit_time[static_cast<size_t>(op.sequence)] = op.time;
+      }
+    }
+    survivors = CheckCrashStates(spec, ops, chain, pool, &report, record_violation_dump);
   }
 
   if (!spec.replay) {
@@ -989,6 +1040,18 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
     replay_survivors.push_back(m);
   }
 
+  // Every replay installs a prefix of the traced chain: copy the longest one
+  // once, then free the traced run so the replays reuse its memory. It stays
+  // alive only for its audit, which records the replays' violation dumps.
+  std::vector<RedoRecord> survivor_chain;
+  if (!replay_survivors.empty()) {
+    const std::vector<RedoRecord>& chain = traced->redo_log(0)->records();
+    survivor_chain.assign(chain.begin(), chain.begin() + replay_survivors.back() + 1);
+  }
+  if (audit == nullptr) {
+    traced.reset();
+  }
+
   struct ReplayOutcome {
     bool consistent = false;
     bool completed = false;
@@ -1011,10 +1074,9 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
         // schedules (same instant ordering is by insertion, and this event
         // lands strictly earlier anyway).
         computation->sim().ScheduleAt(kill_at + recovery_delay / 2, [&computation, m,
-                                                                    &canonical_records]() {
-          std::vector<ftx_store::RedoRecord> survivors_records(
-              canonical_records.begin(), canonical_records.begin() + m + 1);
-          computation->redo_log(0)->RestoreForRecovery(std::move(survivors_records));
+                                                                    &survivor_chain]() {
+          computation->redo_log(0)->RestoreForRecovery(std::vector<RedoRecord>(
+              survivor_chain.begin(), survivor_chain.begin() + m + 1));
         });
 
         ftx::ComputationResult result = computation->Run();

@@ -34,7 +34,10 @@
 //      kill process 0 just after that commit's step, install the survivor
 //      records as the redo log recovery reads, and require the recovered
 //      run to complete with output the consistency oracle accepts
-//      (ftx_rec::CheckConsistentRecovery against the reference).
+//      (ftx_rec::CheckConsistentRecovery against the reference). The
+//      replays install prefixes of one copy of the chain, up to the largest
+//      survivor; the traced run is freed before they start unless its
+//      audit must record their violation dumps.
 //
 // Exploration shards across ftx::TrialPool; every random choice (torn cut
 // points, reorder subsets) derives from DeriveTrialSeed(seed, op_index),

@@ -64,6 +64,28 @@ TEST(WriteJournal, SplitsWritesIntoPaddedSectors) {
   }
 }
 
+// The torture engine reads machine 0's journal alone, so a journaled
+// multi-process computation keeps none for the other machines.
+TEST(WriteJournal, ComputationJournalsMachineZeroOnly) {
+  ftx::RunSpec spec;
+  spec.workload = "treadmarks";
+  spec.scale = 2;
+  spec.seed = 29;
+  spec.store = ftx::StoreKind::kDisk;
+  spec.mode = ftx_dc::RuntimeMode::kRecoverable;
+  spec.tweak_options = [](ftx::ComputationOptions* o) { o->journal_disk_writes = true; };
+  std::unique_ptr<ftx::Computation> computation = ftx::BuildComputation(spec);
+  ASSERT_TRUE(computation->Run().all_done);
+
+  ASSERT_GT(computation->num_processes(), 1);
+  ASSERT_NE(computation->write_journal(0), nullptr);
+  EXPECT_FALSE(computation->write_journal(0)->ops().empty());
+  for (int p = 1; p < computation->num_processes(); ++p) {
+    EXPECT_NE(computation->redo_log(p), nullptr) << "pid " << p;
+    EXPECT_EQ(computation->write_journal(p), nullptr) << "pid " << p;
+  }
+}
+
 TEST(WriteJournal, MaterializeAppliesPrefixInOrder) {
   WriteJournal journal;
   ftx::Bytes first(kSectorBytes, 0x11);
@@ -130,6 +152,7 @@ TEST(LogImage, RecordRoundTripsAndIsSectorPadded) {
 
   ftx::Bytes encoded = ftx_store::EncodeRecord(record);
   EXPECT_EQ(encoded.size() % kSectorBytes, 0u);
+  EXPECT_EQ(ftx_store::EncodedRecordBytes(record), static_cast<int64_t>(encoded.size()));
 
   RedoRecord decoded;
   int64_t next = 0;
@@ -207,6 +230,8 @@ TEST_P(RedoLogProperty, SurvivorDecodeYieldsExactCommittedPrefix) {
     RedoRecord record = MakeRecord(&rng, pages, page_size);
     log.AppendBatch({record});  // assigns sequence i
     record.sequence = i;
+    EXPECT_EQ(ftx_store::EncodedRecordBytes(record),
+              static_cast<int64_t>(ftx_store::EncodeRecord(record).size()));
     canonical.push_back(std::move(record));
   }
 
@@ -392,16 +417,53 @@ TEST(TortureEngine, SmallNviExplorationHoldsInvariant) {
 }
 
 TEST(TortureEngine, ReportIsIdenticalAcrossPoolSizes) {
+  ftx_torture::TortureSpec nvi;
+  nvi.workload = "nvi";
+  nvi.scale = 20;
+  nvi.seed = 17;
+  nvi.max_commit_windows = 4;
+  // The benchmark's shape: one commit window of a long magic run, where the
+  // explored ops write one record of the chain.
+  ftx_torture::TortureSpec magic;
+  magic.workload = "magic";
+  magic.scale = 4;
+  magic.seed = 17;
+  magic.max_commit_windows = 1;
+
+  ftx::TrialPool pool4(4);
+  for (const ftx_torture::TortureSpec& spec : {nvi, magic}) {
+    SCOPED_TRACE(spec.workload);
+    ftx_torture::TortureReport serial = ftx_torture::ExploreCommitPath(spec, nullptr);
+    ftx_torture::TortureReport parallel = ftx_torture::ExploreCommitPath(spec, &pool4);
+    EXPECT_EQ(serial.ToJsonRow().Dump(2), parallel.ToJsonRow().Dump(2));
+    EXPECT_EQ(serial.violations, 0) << (serial.violation_diagnostics.empty()
+                                            ? ""
+                                            : serial.violation_diagnostics.front());
+    EXPECT_GT(serial.replays, 0);
+    EXPECT_EQ(serial.replays, serial.replays_consistent);
+  }
+}
+
+TEST(TortureEngine, MultiProcessExplorationHoldsInvariant) {
+  // treadmarks runs four processes; the engine explores machine 0's disk
+  // and replays through recovery with its peers' messages in flight.
   ftx_torture::TortureSpec spec;
-  spec.workload = "nvi";
-  spec.scale = 20;
-  spec.seed = 17;
-  spec.max_commit_windows = 4;
+  spec.workload = "treadmarks";
+  spec.scale = 2;
+  spec.seed = 29;
+  spec.max_commit_windows = 2;
 
   ftx::TrialPool pool4(4);
   ftx_torture::TortureReport serial = ftx_torture::ExploreCommitPath(spec, nullptr);
   ftx_torture::TortureReport parallel = ftx_torture::ExploreCommitPath(spec, &pool4);
   EXPECT_EQ(serial.ToJsonRow().Dump(2), parallel.ToJsonRow().Dump(2));
+  EXPECT_EQ(serial.num_processes, 4);
+  EXPECT_EQ(serial.violations, 0) << (serial.violation_diagnostics.empty()
+                                          ? ""
+                                          : serial.violation_diagnostics.front());
+  EXPECT_GT(serial.crash_states, 0);
+  EXPECT_GT(serial.replays, 0);
+  EXPECT_EQ(serial.replays, serial.replays_consistent);
 }
 
 TEST(TortureEngine, BatchedWindowsHoldInvariantWithMultiRecordWindows) {
