@@ -9,8 +9,10 @@
 //                    one mid-run stop failure each — how the Save-work
 //                    protocol shapes the recovery profile;
 //   log_size         nvi/cpvs with the crash at 25% / 50% / 80% of the run —
-//                    the redo chain grows with the crash point, so log scan,
-//                    CRC validation and page installs scale with it;
+//                    the redo chain grows with the crash point, so the
+//                    simulated log scan scales with it, while host-side CRC
+//                    validation and page installs scale with the records
+//                    that still hold pages;
 //   commit_interval  nvi under eager CAND vs lazy CAND-LOG — rare commits
 //                    shrink the redo chain but shift recovery work into ND
 //                    replay during re-execution.
@@ -89,6 +91,7 @@ ftx_bench::RowResult RunPoint(ftx_bench::RowContext& ctx, const SweepPoint& pt, 
   ftx::RunOutput recovered;
   ftx_rec::ConsistencyResult consistency;
   bool completed = false;
+  int64_t redo_records = 0;  // records the crashed process's recovery read
   // --timeseries: only repeat 0 samples and writes the JSONL; the later
   // repeats run telemetry-off, so the FTX_CHECK_EQs below double as a
   // neutrality assertion (sampling must not move simulated quantities).
@@ -117,6 +120,7 @@ ftx_bench::RowResult RunPoint(ftx_bench::RowContext& ctx, const SweepPoint& pt, 
                                                      computation->num_processes(),
                                                      /*require_complete=*/true);
       completed = result.all_done;
+      redo_records = computation->runtime(0).last_recovery().records;
       recovered = std::move(out);
     } else {
       // The repeats exist only to stabilize host times; the simulation must
@@ -142,7 +146,9 @@ ftx_bench::RowResult RunPoint(ftx_bench::RowContext& ctx, const SweepPoint& pt, 
   row.Set("violations", ok ? 0 : 1);
   row.Set("duplicates_tolerated", consistency.duplicates_tolerated);
   row.Set("replays", replays);
-  row.Set("redo_records", profile.LeafCount("recover.crc_validate"));
+  // Every record recovery read; the crc_validate and page_install counts
+  // cover only the records that still held pages.
+  row.Set("redo_records", redo_records);
   // Simulated MTTR distribution (deterministic; the figure's quantity).
   const ftx_obs::MetricValue* mttr = recovered.metrics.Find("dc.recovery_ns");
   FTX_CHECK(mttr != nullptr);
@@ -174,7 +180,7 @@ ftx_bench::RowResult RunPoint(ftx_bench::RowContext& ctx, const SweepPoint& pt, 
       "%-16s %-11s %-11s %4lld %6lld %9.2f ms  "
       "scan %3.0f%% crc %3.0f%% inst %3.0f%% reprot %3.0f%% nd %3.0f%%\n",
       pt.section, pt.workload, pt.protocol, static_cast<long long>(replays),
-      static_cast<long long>(profile.LeafCount("recover.crc_validate")), mttr->p50 / 1e6,
+      static_cast<long long>(redo_records), mttr->p50 / 1e6,
       PhasePct(static_cast<int64_t>(ftx_bench::MinOf(wall_samples["recover.log_scan"])),
                recover_wall_ns),
       PhasePct(static_cast<int64_t>(ftx_bench::MinOf(wall_samples["recover.crc_validate"])),

@@ -27,8 +27,11 @@ struct MagicState {
   int32_t current_layer = 1;
 };
 
+// Command and Scratch name their padding bytes, so command tokens and the
+// scratch area the segment persists carry no indeterminate stack bytes.
 struct Command {
   uint8_t opcode = 0;  // 'P' paint, 'E' erase, 'W' wire, 'F' fill
+  uint8_t reserved[3] = {};
   int32_t x = 0;
   int32_t y = 0;
   int32_t w = 0;
@@ -40,7 +43,9 @@ struct Scratch {
   Command command;
   int64_t cells_touched = 0;
   uint32_t region_crc = 0;
+  uint32_t reserved = 0;
 };
+static_assert(sizeof(Command) == 24 && sizeof(Scratch) == 40, "magic layout has no padding");
 
 MagicState LoadState(ftx_dc::ProcessEnv& env) {
   return env.segment().Read<MagicState>(kHeaderOffset);

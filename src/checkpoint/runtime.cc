@@ -460,8 +460,12 @@ ftx::Duration Runtime::Recover() {
   last_recovery_.log_scan_ns = costs_.recovery_fixed.nanos();
 
   if (env_.redo_log != nullptr) {
-    // DC-disk: the volatile segment is gone; rebuild it by replaying the
-    // redo chain from disk. Charge a read per record plus transfer.
+    // DC-disk: the volatile segment is gone; rebuild it from the redo chain
+    // on disk. Charge a read per record plus transfer, released or not: the
+    // modeled disk still holds every record. Only the records that still
+    // hold a page are validated and installed, in sequence order; every
+    // page of a released record is rewritten by a later one, so the
+    // rebuilt segment is the same as a full replay's.
     segment_->ResetToZero();
     const ftx_store::DiskParameters* disk_params = nullptr;
     auto* disk_store = dynamic_cast<ftx_store::DiskStore*>(env_.store);
@@ -471,16 +475,18 @@ ftx::Duration Runtime::Recover() {
     {
       FTX_PROF_SCOPE("recover.log_scan");
       for (const ftx_store::RedoRecord& record : env_.redo_log->records()) {
-        {
-          FTX_PROF_SCOPE("recover.crc_validate");
-          FTX_CHECK_MSG(record.ValidatePages(), "redo record failed CRC validation");
+        if (!record.released) {
+          {
+            FTX_PROF_SCOPE("recover.crc_validate");
+            FTX_CHECK_MSG(record.ValidatePages(), "redo record failed CRC validation");
+          }
+          FTX_PROF_SCOPE("recover.page_install");
+          bool well_formed =
+              record.ForEachPage([this](int64_t offset, const uint8_t* image, size_t size) {
+                segment_->InstallPage(offset, image, size);
+              });
+          FTX_CHECK_MSG(well_formed, "redo record page payload malformed");
         }
-        FTX_PROF_SCOPE("recover.page_install");
-        bool well_formed =
-            record.ForEachPage([this](int64_t offset, const uint8_t* image, size_t size) {
-              segment_->InstallPage(offset, image, size);
-            });
-        FTX_CHECK_MSG(well_formed, "redo record page payload malformed");
         if (disk_params != nullptr) {
           cost += disk_params->half_rotation;
           cost += ftx::Nanoseconds(disk_params->per_byte.nanos() * record.PayloadBytes());

@@ -9,7 +9,8 @@
 //  * Kernel state is preserved by intercepting syscalls, capturing their
 //    parameters, and reconstructing kernel state by replay during recovery.
 //  * DC-disk writes a redo record (dirty pages + metadata) synchronously to
-//    a modeled disk at each commit and recovers by replaying the redo chain.
+//    a modeled disk at each commit and recovers from the redo chain: it
+//    charges a read of every record and installs each page's newest image.
 //  * Non-deterministic user input and receives can be logged to render them
 //    deterministic (the -LOG protocols); recovery replays the log.
 //
@@ -84,7 +85,7 @@ struct RecoveryBreakdown {
   int64_t page_install_ns = 0;   // redo payload transfer back into the segment
   int64_t undo_rollback_ns = 0;  // Rio per-page undo of uncommitted state
   int64_t rebuild_ns = 0;        // application OnRecovered recomputation
-  int64_t records = 0;           // redo records replayed (DC-disk) or 0
+  int64_t records = 0;           // redo records read (DC-disk; released ones too) or 0
   int64_t total_ns = 0;          // == the Duration Recover() returned
 };
 
@@ -151,8 +152,9 @@ class Runtime : public ProcessEnv {
 
   // Rolls back to the last committed state and resumes execution. For Rio
   // the segment's undo log restores state; for DC-disk the segment is
-  // rebuilt from the redo chain. Kernel state is reconstructed by syscall
-  // replay. Returns the simulated recovery latency.
+  // rebuilt from the records of the redo chain that still hold pages,
+  // while the charge covers reading every record. Kernel state is
+  // reconstructed by syscall replay. Returns the simulated recovery latency.
   ftx::Duration Recover();
 
   // Total loss of committed state (an OS crash with a volatile store): the

@@ -1,6 +1,5 @@
 #include "src/storage/redo_log.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -41,13 +40,11 @@ int64_t RedoRecord::PayloadBytes() const {
 void RedoLog::AttachJournal(WriteJournal* journal) {
   journal_ = journal;
   journal_tail_ = kLogStartOffset;
-  journal_log_start_ = kLogStartOffset;
   journal_start_sequence_ = next_sequence_;
   // A fresh journal image starts a fresh parity cycle aligned with the
   // sequence counter, preserving the singleton-window identity
   // window_count_ == next_sequence_ that unbatched goldens depend on.
   window_count_ = next_sequence_;
-  journal_offsets_.clear();
 }
 
 int64_t RedoLog::AppendBatch(std::vector<RedoRecord> batch) {
@@ -70,7 +67,6 @@ int64_t RedoLog::AppendBatch(std::vector<RedoRecord> batch) {
     // new records unvouched (recoverable as all-or-prefix tail records).
     for (const RedoRecord& record : batch) {
       ftx::Bytes encoded = EncodeRecord(record);
-      journal_offsets_.emplace_back(record.sequence, journal_tail_);
       journal_->Write(journal_tail_, encoded.data(), encoded.size(), record.sequence);
       journal_tail_ += static_cast<int64_t>(encoded.size());
     }
@@ -78,7 +74,7 @@ int64_t RedoLog::AppendBatch(std::vector<RedoRecord> batch) {
 
     CommitSlot slot;
     slot.sequence = last_sequence;
-    slot.log_start = journal_log_start_;
+    slot.log_start = kLogStartOffset;
     slot.log_end = journal_tail_;
     slot.start_sequence = journal_start_sequence_;
     ftx::Bytes slot_sector = EncodeCommitSlot(slot);
@@ -90,49 +86,53 @@ int64_t RedoLog::AppendBatch(std::vector<RedoRecord> batch) {
   ++window_count_;
   for (RedoRecord& record : batch) {
     records_.push_back(std::move(record));
+    if (journal_ == nullptr) {
+      TakeOverPages(records_.size() - 1);
+    }
   }
   return payload_total;
 }
 
-void RedoLog::TruncateThrough(int64_t sequence) {
-  records_.erase(std::remove_if(records_.begin(), records_.end(),
-                                [&](const RedoRecord& r) { return r.sequence <= sequence; }),
-                 records_.end());
-
-  if (journal_ != nullptr && sequence >= journal_start_sequence_ && next_sequence_ > 0) {
-    // Retire the prefix by rewriting the current slot with a narrowed
-    // [log_start, log_end) — one atomic sector write, same parity as the
-    // newest committed record so the update supersedes in place. The retired
-    // record bytes stay on the platters but the slot no longer vouches for
-    // them. A crash before this write survives with the stale (wider) slot,
-    // which still decodes the full record chain — recovery just replays more.
-    journal_start_sequence_ = sequence + 1;
-    while (!journal_offsets_.empty() && journal_offsets_.front().first <= sequence) {
-      journal_offsets_.erase(journal_offsets_.begin());
+void RedoLog::TakeOverPages(size_t index) {
+  runs_held_.resize(records_.size(), 0);
+  bool well_formed = records_[index].ForEachPage([&](int64_t offset, const uint8_t*, size_t) {
+    auto [it, inserted] = page_owner_.try_emplace(offset, index);
+    if (!inserted) {
+      if (it->second == index) {
+        return;  // the same page twice in one record
+      }
+      const size_t previous = std::exchange(it->second, index);
+      if (--runs_held_[previous] == 0) {
+        Release(previous);
+      }
     }
-    journal_log_start_ =
-        journal_offsets_.empty() ? journal_tail_ : journal_offsets_.front().second;
-
-    const int64_t newest = next_sequence_ - 1;
-    CommitSlot slot;
-    slot.sequence = newest;
-    slot.log_start = journal_log_start_;
-    slot.log_end = journal_tail_;
-    slot.start_sequence = std::min(journal_start_sequence_, newest + 1);
-    ftx::Bytes slot_sector = EncodeCommitSlot(slot);
-    // Same parity as the newest window's live slot ((window_count_ - 1) & 1
-    // — equal to `newest & 1` while windows are singletons), so the update
-    // supersedes in place rather than clobbering the alternate sector a
-    // crash might still need.
-    journal_->Write(((window_count_ - 1) & 1) * kSectorBytes, slot_sector.data(),
-                    slot_sector.size(), newest);
-    journal_->Barrier(newest);
+    ++runs_held_[index];
+  });
+  FTX_CHECK_MSG(well_formed, "redo record page payload malformed");
+  // A record without pages holds nothing from the start; it is released
+  // once it is no longer the newest, whose metadata recovery restores.
+  if (index > 0 && records_[index - 1].page_count == 0 && !records_[index - 1].released) {
+    Release(index - 1);
   }
 }
 
+void RedoLog::Release(size_t index) {
+  // Every page of the record has a newer image, so recovery will never
+  // install it. Validate the payload before dropping it, as recovery would
+  // have.
+  RedoRecord& record = records_[index];
+  FTX_CHECK_MSG(record.ValidatePages(), "redo record failed CRC validation");
+  record.pages_payload = ftx::Bytes();
+  record.released = true;
+}
+
 void RedoLog::RestoreForRecovery(std::vector<RedoRecord> records) {
-  for (size_t i = 1; i < records.size(); ++i) {
-    FTX_CHECK_EQ(records[i].sequence, records[i - 1].sequence + 1);
+  for (size_t i = 0; i < records.size(); ++i) {
+    FTX_CHECK_MSG(!records[i].released, "cannot restore released redo record %lld",
+                  static_cast<long long>(records[i].sequence));
+    if (i > 0) {
+      FTX_CHECK_EQ(records[i].sequence, records[i - 1].sequence + 1);
+    }
   }
   next_sequence_ = records.empty() ? 0 : records.back().sequence + 1;
   // Survivor chains carry no window framing; resume as if every survivor
@@ -140,6 +140,13 @@ void RedoLog::RestoreForRecovery(std::vector<RedoRecord> records) {
   // parity cycle merely restarts — recovery attaches a fresh journal).
   window_count_ = next_sequence_;
   records_ = std::move(records);
+  page_owner_.clear();
+  runs_held_.clear();
+  if (journal_ == nullptr) {
+    for (size_t i = 0; i < records_.size(); ++i) {
+      TakeOverPages(i);
+    }
+  }
 }
 
 }  // namespace ftx_store

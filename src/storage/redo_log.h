@@ -2,10 +2,10 @@
 //
 // DC-disk writes a redo record at each checkpoint: the dirty pages, plus an
 // opaque metadata blob (register file and kernel-capture point). This class
-// stores the record chain; recovery rebuilds a process's segment by
-// replaying every record in order. I/O *latency* is charged separately by
-// the DiskStore policy (see stable_store.h), which models the synchronous
-// writes these appends imply.
+// stores the record chain; recovery rebuilds a process's segment from it,
+// installing each page's newest committed image. I/O *latency* is charged
+// separately by the DiskStore policy (see stable_store.h), which models the
+// synchronous writes these appends imply.
 //
 // Page images are serialized directly into one flat per-record buffer
 // ([offset][size][bytes]... runs) as the segment's dirty-page visitor hands
@@ -13,13 +13,23 @@
 // is no intermediate vector of per-page heap buffers. Each record carries a
 // CRC (slice-by-8) over its page payload that recovery validates before
 // installing pages.
+//
+// Release: recovery needs only the newest image of each page, so an
+// unjournaled log frees the page payload of every record whose runs later
+// records have all rewritten (and marks a record without pages released
+// once a newer one lands), after validating its CRC. A released record
+// keeps its header fields and metadata, so PayloadBytes() (what recovery is
+// charged for reading it) does not change; the newest record is never
+// released. A log's memory is then bounded by the pages recovery still
+// needs instead of growing with every commit. A journaled log releases
+// nothing: the crash-state engine encodes and replays its whole chain.
 
 #ifndef FTX_SRC_STORAGE_REDO_LOG_H_
 #define FTX_SRC_STORAGE_REDO_LOG_H_
 
 #include <cstdint>
 #include <string>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -38,6 +48,11 @@ struct RedoRecord {
   uint32_t pages_crc = 0;  // running CRC over pages_payload
   // Opaque metadata blob (register file + kernel capture point).
   ftx::Bytes metadata;
+  // Set by the owning RedoLog once it freed pages_payload because later
+  // records rewrite every page this one held (or it held none and is not
+  // the newest); recovery skips the record's CRC check and installs, but
+  // still charges PayloadBytes() for it.
+  bool released = false;
 
   // Pre-sizes the payload buffer for `pages` images of `image_size` bytes.
   void ReservePages(int64_t pages, size_t image_size);
@@ -94,27 +109,27 @@ class RedoLog {
   // summed payload bytes (for I/O charging).
   int64_t AppendBatch(std::vector<RedoRecord> batch);
 
-  // Full record history (recovery replays every record in order).
+  // Full record history, in sequence order. Released records keep their
+  // headers and metadata; recovery charges every record and installs the
+  // pages of the unreleased ones.
   const std::vector<RedoRecord>& records() const { return records_; }
   const RedoRecord* Latest() const { return records_.empty() ? nullptr : &records_.back(); }
-
-  // Truncation: drops records at or before `sequence`. The paper's DC-disk
-  // skipped truncation; the library supports it so long runs stay bounded
-  // once a full-state checkpoint record supersedes the prefix.
-  void TruncateThrough(int64_t sequence);
 
   // Attaches a sector-granular write journal (owned by the machine's
   // DiskModel): every AppendBatch then emits the window's two synchronous
   // I/Os as journal ops — record sectors + barrier, commit-slot sector +
-  // barrier — and TruncateThrough emits the slot rewrite that retires the
-  // prefix. The crash-state exploration engine replays these ops to build
-  // survivor images (see src/storage/log_image.h). nullptr detaches.
+  // barrier. The crash-state exploration engine replays these ops to build
+  // survivor images (see src/storage/log_image.h), so a journaled log keeps
+  // every record it appends from then on. nullptr detaches.
   void AttachJournal(WriteJournal* journal);
 
   // Replaces the in-memory record chain with what survived on disk — the
   // records a SurvivorLog decoded from a crash-state image — so a fresh
   // computation's Recover() sees exactly the survivor state. Sequences must
-  // be contiguous; next_sequence resumes after the last survivor.
+  // be contiguous and no record may be released (a prefix of a live chain
+  // can have lost pages to records beyond the prefix); next_sequence
+  // resumes after the last survivor. An unjournaled log then releases the
+  // survivors that later survivors supersede.
   void RestoreForRecovery(std::vector<RedoRecord> records);
 
   int64_t next_sequence() const { return next_sequence_; }
@@ -130,20 +145,30 @@ class RedoLog {
   }
 
  private:
+  // Unjournaled logs only: records_[index] takes over each of its page runs
+  // from the records that held them, and every older record left holding
+  // none is validated and released. Only a later record takes runs over,
+  // so the newest record is never released.
+  void TakeOverPages(size_t index);
+  void Release(size_t index);
+
   std::vector<RedoRecord> records_;
   int64_t bytes_written_ = 0;
   int64_t next_sequence_ = 0;
-  // Journaling state: where the next record lands in the on-disk image, the
-  // oldest sequence the record area still vouches for, and the byte offset
-  // of every live record (so truncation can narrow log_start exactly).
+  // Release index of an unjournaled log: the newest record holding each page
+  // run, keyed by run offset (runs at one offset are whole pages of one
+  // size), and the number of runs each record still holds.
+  std::unordered_map<int64_t, size_t> page_owner_;
+  std::vector<int64_t> runs_held_;
+  // Journaling state: where the next record lands in the on-disk image and
+  // the oldest sequence the record area vouches for (its first record sits
+  // at kLogStartOffset).
   WriteJournal* journal_ = nullptr;
   int64_t journal_tail_ = 0;
-  int64_t journal_log_start_ = 0;
   int64_t journal_start_sequence_ = 0;
   // Windows appended so far; its parity picks the commit-slot sector. Kept
   // equal to next_sequence_ while every window is a singleton.
   int64_t window_count_ = 0;
-  std::vector<std::pair<int64_t, int64_t>> journal_offsets_;  // (sequence, offset)
 };
 
 }  // namespace ftx_store

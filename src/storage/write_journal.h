@@ -12,12 +12,11 @@
 // subset of the sector writes issued since the last barrier (the in-flight
 // epoch the disk was free to reorder).
 //
-// Producers: RedoLog::AppendBatch emits a window's record-body sectors, a
+// Producer: RedoLog::AppendBatch emits a window's record-body sectors, a
 // barrier, the commit-slot sector, and a second barrier (the paper's
-// two-sync-I/O checkpoint for a one-record window);
-// RedoLog::TruncateThrough emits the slot rewrite that retires a log
-// prefix. The journal is owned by the DiskModel of the machine whose
-// platters it describes (see DiskModel::EnableJournal).
+// two-sync-I/O checkpoint for a one-record window). The journal is owned by
+// the DiskModel of the machine whose platters it describes (see
+// DiskModel::EnableJournal).
 
 #ifndef FTX_SRC_STORAGE_WRITE_JOURNAL_H_
 #define FTX_SRC_STORAGE_WRITE_JOURNAL_H_
@@ -45,7 +44,8 @@ struct DiskOp {
   DiskOpKind kind = DiskOpKind::kSectorWrite;
   int64_t offset = 0;  // sector-aligned byte offset (kSectorWrite only)
   ftx::Bytes data;     // exactly kSectorBytes (kSectorWrite only)
-  // Redo-record sequence this op serves (commit window / truncation id).
+  // Redo-record sequence this op serves (the commit window's last one for
+  // slot writes and barriers).
   int64_t sequence = -1;
   // Simulated instant the op was issued (the owning commit's instant).
   ftx::TimePoint time;

@@ -630,12 +630,12 @@ std::set<int64_t> CheckCrashStates(
 
   // committed_at[c] = the checkpoint durable after the first c ops: the
   // highest sequence with both of its sync barriers in the prefix. Counted
-  // per sequence (not barriers/2) so an odd barrier — e.g. a journaled log
-  // truncation — can never skew the count. Both barriers of a group-commit
-  // window carry the window's *last* sequence, so under batching this jumps
-  // straight from one window end to the next — mid-window sequences are
-  // never reported durable. window_ends collects those completed-window
-  // last sequences (sorted, deduped) for the in-flight survivor bound.
+  // per sequence (not barriers/2) so an odd barrier can never skew the
+  // count. Both barriers of a group-commit window carry the window's *last*
+  // sequence, so under batching this jumps straight from one window end to
+  // the next — mid-window sequences are never reported durable. window_ends
+  // collects those completed-window last sequences (sorted, deduped) for the
+  // in-flight survivor bound.
   std::vector<int64_t> committed_at(ops.size() + 1, -1);
   std::vector<int64_t> window_ends;
   {
@@ -660,8 +660,8 @@ std::set<int64_t> CheckCrashStates(
   }
 
   // Slot tuples the run issued, decoded from the slot-area writes in the
-  // trace. (One per sequence unless the log was truncated, which rewrites
-  // the newest slot with a narrowed range.)
+  // trace. The log writes one slot per window and never rewrites one, but a
+  // sequence issued with several tuples would match any of them.
   std::map<int64_t, std::vector<CommitSlot>> issued_slots;
   for (const DiskOp& op : ops) {
     if (op.kind == DiskOpKind::kSectorWrite && op.offset < kLogStartOffset) {

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <tuple>
 
 #include "src/core/experiment.h"
 #include "src/statemachine/invariants.h"
+#include "src/storage/redo_log.h"
 
 namespace {
 
@@ -208,6 +210,105 @@ TEST(Integration, FailureNearEndOfRunStillCompletes) {
       });
   EXPECT_TRUE(check.completed) << check.diagnostic;
   EXPECT_TRUE(check.consistent) << check.diagnostic;
+}
+
+// An unjournaled DC-disk log releases the payloads of superseded records
+// and recovery installs only the rest; a journaled one keeps every record
+// and recovery installs them all. The same magic run, stop-failed at ~70%
+// of its length, must recover identically either way.
+TEST(Integration, RedoLogReleaseLeavesRecoveryUnchanged) {
+  ftx::RunSpec spec;
+  spec.workload = "magic";
+  spec.protocol = "cand";
+  spec.store = ftx::StoreKind::kDisk;
+  spec.scale = 30;
+  spec.seed = 17;
+  ftx::RunSpec baseline = spec;
+  baseline.mode = ftx_dc::RuntimeMode::kBaseline;
+  const ftx::TimePoint kill_at = ftx::TimePoint() + ftx::RunExperiment(baseline).elapsed * 7 / 10;
+  const ftx::Duration recovery_delay = ftx::Milliseconds(50);
+
+  struct Observed {
+    ftx::RunOutput out;
+    ftx_dc::RecoveryBreakdown recovery;
+    uint32_t segment_checksum = 0;  // just after Recover
+    int64_t released = 0;           // records released when Recover ran
+  };
+  auto run = [&](bool journaled) {
+    ftx::RunSpec s = spec;
+    s.mode = ftx_dc::RuntimeMode::kRecoverable;
+    if (journaled) {
+      s.tweak_options = [](ftx::ComputationOptions* o) { o->journal_disk_writes = true; };
+    }
+    std::unique_ptr<ftx::Computation> computation = ftx::BuildComputation(s);
+    computation->ScheduleStopFailure(0, kill_at, recovery_delay);
+    Observed observed;
+    // Recover runs at kill_at + recovery_delay; the process's next step
+    // waits for the recovery cost, so one nanosecond later the segment
+    // holds exactly what Recover rebuilt.
+    computation->sim().ScheduleAt(kill_at + recovery_delay + ftx::Nanoseconds(1), [&]() {
+      observed.segment_checksum = computation->runtime(0).segment().Checksum();
+      for (const ftx_store::RedoRecord& record : computation->redo_log(0)->records()) {
+        observed.released += record.released ? 1 : 0;
+      }
+    });
+    ftx::ComputationResult result = computation->Run();
+    observed.out = ftx::Collect(*computation, result);
+    observed.recovery = computation->runtime(0).last_recovery();
+    return observed;
+  };
+  const Observed full = run(/*journaled=*/true);
+  const Observed released = run(/*journaled=*/false);
+
+  EXPECT_EQ(full.released, 0);
+  EXPECT_GT(released.released, 0);
+  EXPECT_GT(full.recovery.records, released.released);
+  EXPECT_NE(full.segment_checksum, 0u);
+  EXPECT_EQ(full.segment_checksum, released.segment_checksum);
+
+  EXPECT_EQ(full.recovery.log_scan_ns, released.recovery.log_scan_ns);
+  EXPECT_EQ(full.recovery.page_install_ns, released.recovery.page_install_ns);
+  EXPECT_EQ(full.recovery.undo_rollback_ns, released.recovery.undo_rollback_ns);
+  EXPECT_EQ(full.recovery.rebuild_ns, released.recovery.rebuild_ns);
+  EXPECT_EQ(full.recovery.records, released.recovery.records);
+  EXPECT_EQ(full.recovery.total_ns, released.recovery.total_ns);
+
+  const ftx::ComputationResult& a = full.out.result;
+  const ftx::ComputationResult& b = released.out.result;
+  EXPECT_TRUE(a.all_done);
+  EXPECT_EQ(a.all_done, b.all_done);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.total_commits, b.total_commits);
+  EXPECT_EQ(a.total_events, b.total_events);
+  EXPECT_EQ(a.total_rollbacks, b.total_rollbacks);
+  EXPECT_EQ(a.done_times, b.done_times);
+  ASSERT_EQ(a.per_process.size(), b.per_process.size());
+  for (size_t pid = 0; pid < a.per_process.size(); ++pid) {
+    const ftx_dc::RuntimeStats& x = a.per_process[pid];
+    const ftx_dc::RuntimeStats& y = b.per_process[pid];
+    EXPECT_EQ(x.commits, y.commits);
+    EXPECT_EQ(x.coordinated_commits, y.coordinated_commits);
+    EXPECT_EQ(x.commit_time, y.commit_time);
+    EXPECT_EQ(x.pages_committed, y.pages_committed);
+    EXPECT_EQ(x.bytes_persisted, y.bytes_persisted);
+    EXPECT_EQ(x.events, y.events);
+    EXPECT_EQ(x.nd_events, y.nd_events);
+    EXPECT_EQ(x.visible_events, y.visible_events);
+    EXPECT_EQ(x.sends, y.sends);
+    EXPECT_EQ(x.receives, y.receives);
+    EXPECT_EQ(x.logged_events, y.logged_events);
+    EXPECT_EQ(x.rollbacks, y.rollbacks);
+    EXPECT_EQ(x.recovery_time, y.recovery_time);
+  }
+
+  ASSERT_EQ(full.out.outputs.size(), released.out.outputs.size());
+  for (size_t i = 0; i < full.out.outputs.size(); ++i) {
+    const ftx_rec::VisibleEvent& x = full.out.outputs.events()[i];
+    const ftx_rec::VisibleEvent& y = released.out.outputs.events()[i];
+    EXPECT_EQ(x.process, y.process) << i;
+    EXPECT_EQ(x.time, y.time) << i;
+    EXPECT_EQ(x.payload, y.payload) << i;
+  }
 }
 
 }  // namespace

@@ -245,14 +245,84 @@ TEST(RedoRecord, ValidationCatchesCorruptedPayload) {
   EXPECT_FALSE(record.ValidatePages());
 }
 
-TEST(RedoLog, TruncateDropsPrefix) {
-  ftx_store::RedoLog log;
-  for (int i = 0; i < 5; ++i) {
-    log.AppendBatch({ftx_store::RedoRecord{}});
+ftx_store::RedoRecord RecordOfPages(const std::vector<int64_t>& pages) {
+  ftx_store::RedoRecord record;
+  ftx::Bytes image(64, 0x3c);
+  for (int64_t page : pages) {
+    record.AppendPage(page * 64, image.data(), image.size());
   }
-  log.TruncateThrough(2);
-  ASSERT_EQ(log.records().size(), 2u);
-  EXPECT_EQ(log.records()[0].sequence, 3);
+  record.metadata = ftx::Bytes(16, 0x7e);
+  return record;
+}
+
+// Records holding pages {0,1}, {1}, {0}: the second append takes page 1
+// from record 0, which still holds page 0 until the third append rewrites
+// it. Only then is record 0's payload released.
+TEST(RedoLog, ReleasesOnlyFullySupersededRecords) {
+  ftx_store::RedoLog log;
+  log.AppendBatch({RecordOfPages({0, 1})});
+  const ftx_store::RedoRecord before = log.records()[0];
+  log.AppendBatch({RecordOfPages({1})});
+  EXPECT_FALSE(log.records()[0].released);
+  EXPECT_EQ(log.records()[0].pages_payload, before.pages_payload);
+  log.AppendBatch({RecordOfPages({0})});
+
+  const ftx_store::RedoRecord& released = log.records()[0];
+  EXPECT_TRUE(released.released);
+  EXPECT_TRUE(released.pages_payload.empty());
+  EXPECT_EQ(released.sequence, before.sequence);
+  EXPECT_EQ(released.page_count, before.page_count);
+  EXPECT_EQ(released.page_bytes, before.page_bytes);
+  EXPECT_EQ(released.pages_crc, before.pages_crc);
+  EXPECT_EQ(released.metadata, before.metadata);
+  EXPECT_EQ(released.PayloadBytes(), before.PayloadBytes());
+  EXPECT_FALSE(log.records()[1].released);
+  EXPECT_FALSE(log.records()[2].released);
+
+  // The newest record is kept even when it holds no page, and it takes
+  // nothing from the records before it. Once a newer record lands, it is
+  // released like any record left holding no page.
+  log.AppendBatch({RecordOfPages({})});
+  EXPECT_EQ(log.Latest()->page_count, 0);
+  EXPECT_FALSE(log.Latest()->released);
+  EXPECT_FALSE(log.records()[1].released);
+  EXPECT_FALSE(log.records()[2].released);
+  log.AppendBatch({RecordOfPages({2})});
+  EXPECT_TRUE(log.records()[3].released);
+  EXPECT_EQ(log.records()[3].metadata, before.metadata);
+  EXPECT_FALSE(log.records()[1].released);
+  EXPECT_FALSE(log.records()[2].released);
+
+  // A journaled log releases nothing.
+  ftx_store::RedoLog journaled;
+  ftx_store::WriteJournal journal;
+  journaled.AttachJournal(&journal);
+  for (const std::vector<int64_t>& pages : {std::vector<int64_t>{0, 1}, {1}, {0}}) {
+    journaled.AppendBatch({RecordOfPages(pages)});
+  }
+  for (const ftx_store::RedoRecord& record : journaled.records()) {
+    EXPECT_FALSE(record.released) << record.sequence;
+    EXPECT_TRUE(record.ValidatePages()) << record.sequence;
+  }
+}
+
+TEST(RedoLog, LongRunKeepsBoundedPayload) {
+  ftx_store::RedoLog log;
+  std::vector<int64_t> pages(64);
+  for (int64_t page = 0; page < 64; ++page) {
+    pages[static_cast<size_t>(page)] = page;
+  }
+  for (int i = 0; i < 1000; ++i) {
+    log.AppendBatch({RecordOfPages(pages)});
+  }
+  ASSERT_EQ(log.records().size(), 1000u);
+  int64_t payloads = 0;
+  for (const ftx_store::RedoRecord& record : log.records()) {
+    payloads += record.pages_payload.empty() ? 0 : 1;
+  }
+  EXPECT_LE(payloads, 2);
+  EXPECT_FALSE(log.Latest()->released);
+  EXPECT_TRUE(log.Latest()->ValidatePages());
 }
 
 // --- CommitPipeline (group commit) ---

@@ -304,48 +304,64 @@ TEST_P(RedoLogProperty, SurvivorDecodeYieldsExactCommittedPrefix) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RedoLogProperty, ::testing::Range<uint64_t>(1, 13));
 
-// Truncating the journaled log rewrites the slot so the survivor decodes
-// only the retained suffix.
-TEST(RedoLogJournal, TruncateThroughNarrowsTheSurvivor) {
-  ftx::Rng rng(21);
+// A chain copied from a journaled log, which releases no record. Every
+// record holds page 0, so each one supersedes the one before it.
+std::vector<RedoRecord> JournaledChain(uint64_t seed, int records) {
+  ftx::Rng rng(seed);
   RedoLog log;
   WriteJournal journal;
   log.AttachJournal(&journal);
-  for (int i = 0; i < 5; ++i) {
-    log.AppendBatch({MakeRecord(&rng, 2, 1024)});
+  for (int i = 0; i < records; ++i) {
+    log.AppendBatch({MakeRecord(&rng, 1, 512)});
   }
-  log.TruncateThrough(2);
-
-  const std::vector<DiskOp>& ops = journal.ops();
-  int64_t image_bytes = kLogStartOffset;
-  for (const DiskOp& op : ops) {
-    if (op.kind == DiskOpKind::kSectorWrite) {
-      image_bytes = std::max(image_bytes, op.offset + kSectorBytes);
-    }
-  }
-  ftx::Bytes image = journal.MaterializeImage(ops.size(), image_bytes);
-  ftx_store::SurvivorLog survivor = ftx_store::DecodeSurvivorImage(image);
-  ASSERT_TRUE(survivor.decode_ok) << survivor.diagnostic;
-  EXPECT_EQ(survivor.last_sequence, 4);
-  EXPECT_EQ(survivor.start_sequence, 3);
-  ASSERT_EQ(survivor.records.size(), 2u);
-  EXPECT_EQ(survivor.records[0].sequence, 3);
-  EXPECT_EQ(survivor.records[1].sequence, 4);
+  return log.records();
 }
 
 TEST(RedoLog, RestoreForRecoveryReplacesChainAndResumesSequences) {
+  std::vector<RedoRecord> chain = JournaledChain(22, 6);
   ftx::Rng rng(22);
   RedoLog log;
   for (int i = 0; i < 6; ++i) {
     log.AppendBatch({MakeRecord(&rng, 1, 512)});
   }
-  std::vector<RedoRecord> survivors(log.records().begin(), log.records().begin() + 3);
+  std::vector<RedoRecord> survivors(chain.begin(), chain.begin() + 3);
   log.RestoreForRecovery(std::move(survivors));
   ASSERT_EQ(log.records().size(), 3u);
   EXPECT_EQ(log.records().back().sequence, 2);
   EXPECT_EQ(log.next_sequence(), 3);
+  // The rebuilt index releases the survivors a later survivor supersedes.
+  EXPECT_TRUE(log.records()[0].released);
+  EXPECT_TRUE(log.records()[1].released);
+  EXPECT_FALSE(log.records()[2].released);
+  EXPECT_EQ(log.records()[2].pages_payload, chain[2].pages_payload);
   log.AppendBatch({MakeRecord(&rng, 1, 512)});
   EXPECT_EQ(log.records().back().sequence, 3);
+  EXPECT_TRUE(log.records()[2].released);
+}
+
+// Rebuilding the index validates a superseded survivor before releasing
+// it, with the message Recover uses.
+TEST(RedoLogDeathTest, RestoreValidatesSupersededRecordsBeforeReleasing) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<RedoRecord> chain = JournaledChain(23, 3);
+  chain[0].pages_payload[chain[0].pages_payload.size() / 2] ^= 0x10;
+  RedoLog log;
+  EXPECT_DEATH(log.RestoreForRecovery(std::move(chain)), "redo record failed CRC validation");
+}
+
+// A prefix of a live chain can have lost pages to records beyond the
+// prefix, so restoring a released record aborts.
+TEST(RedoLogDeathTest, RestoreRefusesReleasedRecords) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ftx::Rng rng(24);
+  RedoLog live;
+  for (int i = 0; i < 3; ++i) {
+    live.AppendBatch({MakeRecord(&rng, 1, 512)});
+  }
+  ASSERT_TRUE(live.records()[0].released);
+  std::vector<RedoRecord> prefix(live.records().begin(), live.records().begin() + 2);
+  RedoLog log;
+  EXPECT_DEATH(log.RestoreForRecovery(std::move(prefix)), "cannot restore released redo record 0");
 }
 
 // --- Death tests: Runtime::Recover must refuse a frankenstate — a redo
@@ -361,6 +377,8 @@ void RunRecoveryWithTamper(const std::function<void(RedoRecord*)>& tamper) {
   spec.seed = 3;
   spec.store = ftx::StoreKind::kDisk;
   spec.mode = ftx_dc::RuntimeMode::kRecoverable;
+  // Journaled, so the copied chain still holds every record's pages.
+  spec.tweak_options = [](ftx::ComputationOptions* o) { o->journal_disk_writes = true; };
   std::unique_ptr<ftx::Computation> computation = ftx::BuildComputation(spec);
 
   const ftx::TimePoint kill_at = ftx::TimePoint() + ftx::Seconds(1.0);
