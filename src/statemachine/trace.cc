@@ -3,14 +3,16 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/obs/prof/prof.h"
 
 namespace ftx_sm {
 
 Trace::Trace(int num_processes, TraceOptions options) : options_(options) {
   FTX_CHECK_GT(num_processes, 0);
-  per_process_.resize(static_cast<size_t>(num_processes));
-  clocks_.resize(static_cast<size_t>(num_processes));
+  counts_.resize(static_cast<size_t>(num_processes));
+  views_.resize(static_cast<size_t>(num_processes));
   commit_indices_.resize(static_cast<size_t>(num_processes));
+  clocks_.resize(static_cast<size_t>(num_processes));
   if (options_.record_clocks) {
     current_clock_.assign(static_cast<size_t>(num_processes),
                           VectorClock(static_cast<size_t>(num_processes)));
@@ -19,13 +21,13 @@ Trace::Trace(int num_processes, TraceOptions options) : options_(options) {
 
 int64_t Trace::NumEvents(ProcessId p) const {
   FTX_CHECK(p >= 0 && p < num_processes());
-  return static_cast<int64_t>(per_process_[static_cast<size_t>(p)].size());
+  return counts_[static_cast<size_t>(p)];
 }
 
 int64_t Trace::TotalEvents() const {
   int64_t total = 0;
-  for (const auto& events : per_process_) {
-    total += static_cast<int64_t>(events.size());
+  for (int64_t count : counts_) {
+    total += count;
   }
   return total;
 }
@@ -34,11 +36,10 @@ EventRef Trace::Append(ProcessId p, EventKind kind, int64_t message_id, bool log
                        std::string_view label, int64_t atomic_group) {
   FTX_CHECK(p >= 0 && p < num_processes());
   auto sp = static_cast<size_t>(p);
-  std::vector<TraceEvent>& events = per_process_[sp];
 
   TraceEvent ev;
   ev.process = p;
-  ev.index = NarrowEventField(static_cast<int64_t>(events.size()), "event index");
+  ev.index = NarrowEventField(counts_[sp], "event index");
   ev.kind = kind;
   ev.message_id = message_id;
   ev.logged = logged;
@@ -64,19 +65,47 @@ EventRef Trace::Append(ProcessId p, EventKind kind, int64_t message_id, bool log
     FTX_CHECK_MSG(first_send, "duplicate send of message %lld",
                   static_cast<long long>(message_id));
   }
-  if (kind == EventKind::kCommit) {
-    commit_indices_[sp].push_back(ev.index);
-  }
 
   EventRef ref{p, ev.index};
-  events.push_back(ev);
+  ++counts_[sp];
+  const TraceEvent& recorded = Log(ev);
   if (options_.record_clocks) {
     clocks_[sp].push_back(current_clock_[sp]);
   }
   if (observer_) {
-    observer_(ref, events.back(), options_.record_clocks ? clocks_[sp].back() : empty_clock_);
+    observer_(ref, recorded, options_.record_clocks ? clocks_[sp].back() : empty_clock_);
   }
   return ref;
+}
+
+const TraceEvent& Trace::Log(const TraceEvent& ev) {
+  if (log_.empty() || log_.back().size() == kLogChunkEvents) {
+    log_.emplace_back().reserve(kLogChunkEvents);
+  }
+  return log_.back().emplace_back(ev);
+}
+
+void Trace::FoldLog() const {
+  FTX_PROF_SCOPE("trace.fold");
+  for (size_t p = 0; p < views_.size(); ++p) {
+    // Exact on the first fold; a later fold grows geometrically, so reads
+    // interleaved with appends stay amortized O(1) per event.
+    std::vector<TraceEvent>& view = views_[p];
+    const auto count = static_cast<size_t>(counts_[p]);
+    if (count > view.capacity()) {
+      view.reserve(view.empty() ? count : std::max(count, 2 * view.capacity()));
+    }
+  }
+  for (const std::vector<TraceEvent>& chunk : log_) {
+    for (const TraceEvent& ev : chunk) {
+      const auto sp = static_cast<size_t>(ev.process);
+      views_[sp].push_back(ev);
+      if (ev.kind == EventKind::kCommit) {
+        commit_indices_[sp].push_back(ev.index);
+      }
+    }
+  }
+  log_.clear();
 }
 
 Label Trace::Intern(std::string_view text) {
@@ -96,16 +125,25 @@ Label Trace::Intern(std::string_view text) {
 
 void Trace::MarkFaultActivation(EventRef ref) {
   FTX_CHECK(ref.valid());
+  if (!log_.empty()) {
+    TraceEvent& newest = log_.back().back();
+    if (newest.process == ref.process && newest.index == ref.index) {
+      newest.fault_activation = true;
+      return;
+    }
+  }
+  SyncViews();
   auto sp = static_cast<size_t>(ref.process);
-  FTX_CHECK_LT(static_cast<size_t>(ref.index), per_process_[sp].size());
-  per_process_[sp][static_cast<size_t>(ref.index)].fault_activation = true;
+  FTX_CHECK_LT(static_cast<size_t>(ref.index), views_[sp].size());
+  views_[sp][static_cast<size_t>(ref.index)].fault_activation = true;
 }
 
 const TraceEvent& Trace::event(EventRef ref) const {
   FTX_CHECK(ref.valid());
+  SyncViews();
   auto sp = static_cast<size_t>(ref.process);
-  FTX_CHECK_LT(static_cast<size_t>(ref.index), per_process_[sp].size());
-  return per_process_[sp][static_cast<size_t>(ref.index)];
+  FTX_CHECK_LT(static_cast<size_t>(ref.index), views_[sp].size());
+  return views_[sp][static_cast<size_t>(ref.index)];
 }
 
 const VectorClock& Trace::ClockOf(EventRef ref) const {
@@ -131,6 +169,7 @@ bool Trace::HappensBeforeOrEqual(EventRef a, EventRef b) const {
 
 std::optional<EventRef> Trace::FirstCommitAfter(ProcessId p, int64_t index) const {
   FTX_CHECK(p >= 0 && p < num_processes());
+  SyncViews();
   const auto& commits = commit_indices_[static_cast<size_t>(p)];
   auto it = std::upper_bound(commits.begin(), commits.end(), index);
   if (it == commits.end()) {
@@ -141,6 +180,7 @@ std::optional<EventRef> Trace::FirstCommitAfter(ProcessId p, int64_t index) cons
 
 std::optional<EventRef> Trace::LastCommitAtOrBefore(ProcessId p, int64_t index) const {
   FTX_CHECK(p >= 0 && p < num_processes());
+  SyncViews();
   const auto& commits = commit_indices_[static_cast<size_t>(p)];
   auto it = std::upper_bound(commits.begin(), commits.end(), index);
   if (it == commits.begin()) {
@@ -151,7 +191,8 @@ std::optional<EventRef> Trace::LastCommitAtOrBefore(ProcessId p, int64_t index) 
 
 const std::vector<TraceEvent>& Trace::ProcessEvents(ProcessId p) const {
   FTX_CHECK(p >= 0 && p < num_processes());
-  return per_process_[static_cast<size_t>(p)];
+  SyncViews();
+  return views_[static_cast<size_t>(p)];
 }
 
 std::optional<EventRef> Trace::SendOfMessage(int64_t message_id) const {

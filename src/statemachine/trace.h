@@ -5,6 +5,28 @@
 // invariant checkers can answer "does event a causally precede event b?"
 // exactly as the paper defines it (happens-before used as the approximation
 // of causality, §2.2).
+//
+// Layout. Append writes every event to one log in append order: fixed-size
+// chunks of kLogChunkEvents events that never move (64 KB each, below
+// glibc's default mmap threshold, so they come from the heap). A
+// per-process count gives the next index and NumEvents. Send pairing,
+// labels and vector clocks are kept at append time, so SendOfMessage,
+// ClockOf and EventHappensBefore read no view. The
+// per-process views (ProcessEvents, event) and the commit positions
+// (FirstCommitAfter, LastCommitAtOrBefore) are built when one of those
+// reads first finds logged events: one pass in append order folds them
+// into the views, reserving each view at its final size, and frees the
+// log, so a folded trace holds each event once. Appends made after a fold
+// go back into the log and the next read folds them. A fleet run appends
+// millions of events and reads none of them, so it never builds a view.
+//
+// Contract.
+//  * A view reflects the appends made before the read that returned it.
+//    A read after further appends may reallocate it, as a push_back would.
+//  * A Trace is used by one thread at a time: a const read may fold.
+//  * The append observer receives the logged event, whose address is
+//    stable until the next read folds the log; observers copy what they
+//    keep.
 
 #ifndef FTX_SRC_STATEMACHINE_TRACE_H_
 #define FTX_SRC_STATEMACHINE_TRACE_H_
@@ -108,6 +130,9 @@ struct TraceOptions {
 
 class Trace {
  public:
+  // Events per log chunk: 64 KB of 32-byte events.
+  static constexpr size_t kLogChunkEvents = 2048;
+
   explicit Trace(int num_processes, TraceOptions options = {});
 
   // Events' labels point into this Trace's label pool: a copy would outlive
@@ -117,7 +142,7 @@ class Trace {
   Trace(Trace&&) = default;
   Trace& operator=(Trace&&) = default;
 
-  int num_processes() const { return static_cast<int>(per_process_.size()); }
+  int num_processes() const { return static_cast<int>(counts_.size()); }
   int64_t NumEvents(ProcessId p) const;
   int64_t TotalEvents() const;
 
@@ -128,7 +153,7 @@ class Trace {
                   std::string_view label = {}, int64_t atomic_group = -1);
 
   // Observer invoked at the end of every Append with the new event's
-  // reference, the recorded event, and the appending process's vector clock
+  // reference, the logged event, and the appending process's vector clock
   // as of that event. The live causal audit (src/obs/causal/) installs one to
   // mirror the trace into its ledger without a second event stream; null
   // (the default) costs nothing.
@@ -136,7 +161,9 @@ class Trace {
       std::function<void(EventRef, const TraceEvent&, const VectorClock&)>;
   void SetAppendObserver(AppendObserver observer) { observer_ = std::move(observer); }
 
-  // Marks an already-recorded event as the activation of an injected fault.
+  // Marks an already-recorded event as the activation of an injected fault:
+  // in place when it is the newest logged event (the runtime marks the event
+  // it has just appended), otherwise in the folded views.
   void MarkFaultActivation(EventRef ref);
 
   bool record_clocks() const { return options_.record_clocks; }
@@ -182,12 +209,25 @@ class Trace {
   };
 
   Label Intern(std::string_view text);
+  // Writes an event to the log and returns it at its stable address.
+  const TraceEvent& Log(const TraceEvent& ev);
+  // Folds logged events into the views. Inline, so a read of a current
+  // trace pays one compare and no call.
+  void SyncViews() const {
+    if (!log_.empty()) {
+      FoldLog();
+    }
+  }
+  void FoldLog() const;
 
   TraceOptions options_;
-  std::vector<std::vector<TraceEvent>> per_process_;
+  std::vector<int64_t> counts_;                      // events per process, logged included
+  // Chunks of kLogChunkEvents events, each reserved once, so none moves.
+  mutable std::vector<std::vector<TraceEvent>> log_;
+  mutable std::vector<std::vector<TraceEvent>> views_;           // folded events per process
+  mutable std::vector<std::vector<int32_t>> commit_indices_;     // folded commit positions
   std::vector<std::vector<VectorClock>> clocks_;     // snapshot per event (empty when lean)
   std::vector<VectorClock> current_clock_;           // running clock per process
-  std::vector<std::vector<int32_t>> commit_indices_; // sorted commit positions
   ftx::IdMap<SendSite> send_of_message_;
   // Node-based, so interned strings keep their addresses as the pool grows
   // and when the Trace moves.

@@ -320,6 +320,284 @@ TEST(Trace, SendPairingIsExactAcrossMixedIdPatterns) {
   EXPECT_FALSE(trace.SendOfMessage((int64_t{1} << 40) - 1).has_value());
 }
 
+// --- Trace log: one append-order log, views built on first read ---
+
+// What a test appended, kept apart from the Trace under test.
+struct Appended {
+  EventKind kind = EventKind::kInternal;
+  int64_t message_id = -1;
+  bool logged = false;
+  std::string label;
+  int64_t atomic_group = -1;
+  bool fault_activation = false;
+};
+
+// The reference a test builds alongside a Trace: every appended event per
+// process, in execution order.
+using ReferenceTrace = std::vector<std::vector<Appended>>;
+
+bool SameEvent(const ftx_sm::TraceEvent& ev, ftx_sm::ProcessId p, int64_t index,
+               const Appended& want) {
+  return ev.process == p && ev.index == index && ev.kind == want.kind &&
+         ev.message_id == want.message_id && ev.logged == want.logged &&
+         ev.label == want.label && ev.atomic_group == want.atomic_group &&
+         ev.fault_activation == want.fault_activation;
+}
+
+// Every read of the trace agrees with the reference.
+void ExpectMatchesReference(const Trace& trace, const ReferenceTrace& ref) {
+  int64_t total = 0;
+  for (ftx_sm::ProcessId p = 0; p < trace.num_processes(); ++p) {
+    const auto& want = ref[static_cast<size_t>(p)];
+    const auto n = static_cast<int64_t>(want.size());
+    total += n;
+    ASSERT_EQ(trace.NumEvents(p), n) << "process " << p;
+    const std::vector<ftx_sm::TraceEvent>& view = trace.ProcessEvents(p);
+    ASSERT_EQ(static_cast<int64_t>(view.size()), n) << "process " << p;
+    for (int64_t i = 0; i < n; ++i) {
+      const Appended& expected = want[static_cast<size_t>(i)];
+      ASSERT_TRUE(SameEvent(view[static_cast<size_t>(i)], p, i, expected))
+          << "view of process " << p << " at " << i;
+      ASSERT_TRUE(SameEvent(trace.event(EventRef{p, i}), p, i, expected))
+          << "event " << p << ":" << i;
+    }
+    // `last` is the newest commit at or before i, `next` the first after it.
+    std::optional<EventRef> last;
+    for (int64_t i = -1; i <= n; ++i) {
+      if (i >= 0 && i < n && want[static_cast<size_t>(i)].kind == EventKind::kCommit) {
+        last = EventRef{p, i};
+      }
+      std::optional<EventRef> next;
+      for (int64_t j = i + 1; j < n && !next; ++j) {
+        if (want[static_cast<size_t>(j)].kind == EventKind::kCommit) {
+          next = EventRef{p, j};
+        }
+      }
+      ASSERT_EQ(trace.FirstCommitAfter(p, i), next)
+          << "first commit of process " << p << " after " << i;
+      ASSERT_EQ(trace.LastCommitAtOrBefore(p, i), last)
+          << "last commit of process " << p << " at or before " << i;
+    }
+  }
+  ASSERT_EQ(trace.TotalEvents(), total);
+}
+
+// Appends random events (every kind, labels, atomic groups, send/receive
+// pairs) to a trace and to its reference.
+class RandomAppender {
+ public:
+  // Message ids count up from `first_message`.
+  RandomAppender(Trace* trace, ReferenceTrace* ref, uint64_t seed, int64_t first_message = 0)
+      : trace_(trace), ref_(ref), rng_(seed), next_message_(first_message) {}
+
+  EventRef AppendOne() {
+    static constexpr const char* kLabels[] = {"", "2pc", "keystroke", "frame"};
+    const auto p = static_cast<ftx_sm::ProcessId>(rng_.NextBounded(ref_->size()));
+    Appended a;
+    a.label = kLabels[rng_.NextBounded(4)];
+    switch (rng_.NextBounded(6)) {
+      case 0:
+        a.kind = EventKind::kInternal;
+        break;
+      case 1:
+        a.kind = EventKind::kCommit;
+        a.atomic_group = rng_.NextBounded(2) == 0 ? -1 : next_group_++;
+        break;
+      case 2:
+        a.kind = EventKind::kSend;
+        a.message_id = next_message_++;
+        sent_.push_back(a.message_id);
+        break;
+      case 3:
+        if (!sent_.empty()) {
+          a.kind = EventKind::kReceive;
+          a.message_id = sent_[rng_.NextBounded(sent_.size())];
+          a.logged = rng_.NextBounded(2) == 0;
+          break;
+        }
+        [[fallthrough]];
+      case 4:
+        a.kind = EventKind::kTransientNd;
+        a.logged = rng_.NextBounded(2) == 0;
+        break;
+      default:
+        a.kind = EventKind::kVisible;
+        break;
+    }
+    const EventRef ref =
+        trace_->Append(p, a.kind, a.message_id, a.logged, a.label, a.atomic_group);
+    auto& events = (*ref_)[static_cast<size_t>(p)];
+    EXPECT_EQ(ref, (EventRef{p, static_cast<int64_t>(events.size())}));
+    events.push_back(std::move(a));
+    return ref;
+  }
+
+ private:
+  Trace* trace_;
+  ReferenceTrace* ref_;
+  ftx::Rng rng_;
+  int64_t next_message_;
+  int64_t next_group_ = 0;
+  std::vector<int64_t> sent_;
+};
+
+TEST(TraceLog, EveryReadMatchesAReferenceAcrossChunkBoundaries) {
+  constexpr int kProcesses = 5;
+  constexpr auto kChunk = static_cast<int>(Trace::kLogChunkEvents);
+  Trace trace(kProcesses);
+  ReferenceTrace ref(kProcesses);
+  RandomAppender appender(&trace, &ref, 17);
+  // A read folds the log, so the appends between two reads decide which
+  // chunk boundaries they cross: runs of a few appends, runs that end on
+  // either side of a boundary, and one run that crosses three.
+  const std::vector<int> runs = {1,         2,         3,     kChunk - 1, 1, 5, kChunk,
+                                 kChunk + 1, 4,         7,     3 * kChunk + 1,
+                                 2,         2 * kChunk, 1, 6};
+  // Rotate which read comes first, so each kind of read is seen folding:
+  // its answer depends on the events the run appended.
+  int read = 0;
+  for (int run : runs) {
+    std::vector<int64_t> before;
+    for (ftx_sm::ProcessId p = 0; p < kProcesses; ++p) {
+      before.push_back(trace.NumEvents(p));
+    }
+    EventRef last;
+    for (int i = 0; i < run; ++i) {
+      last = appender.AppendOne();
+    }
+    const ftx_sm::ProcessId p = last.process;
+    const std::vector<Appended>& want = ref[static_cast<size_t>(p)];
+    std::optional<EventRef> first_new_commit;
+    std::optional<EventRef> last_commit;
+    for (int64_t i = 0; i < static_cast<int64_t>(want.size()); ++i) {
+      if (want[static_cast<size_t>(i)].kind == EventKind::kCommit) {
+        last_commit = EventRef{p, i};
+        if (i >= before[static_cast<size_t>(p)] && !first_new_commit) {
+          first_new_commit = last_commit;
+        }
+      }
+    }
+    switch (read++ % 4) {
+      case 0:
+        ASSERT_EQ(trace.ProcessEvents(p).size(), want.size());
+        break;
+      case 1:
+        ASSERT_TRUE(SameEvent(trace.event(last), p, last.index, want.back()));
+        break;
+      case 2:
+        ASSERT_EQ(trace.FirstCommitAfter(p, before[static_cast<size_t>(p)] - 1), first_new_commit);
+        break;
+      default:
+        ASSERT_EQ(trace.LastCommitAtOrBefore(p, last.index), last_commit);
+        break;
+    }
+    ExpectMatchesReference(trace, ref);
+    if (testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(trace.TotalEvents(), 7 * kChunk);
+}
+
+TEST(TraceLog, ObserverSeesTheEventTheFoldedViewHolds) {
+  constexpr int kProcesses = 3;
+  constexpr auto kChunk = static_cast<int>(Trace::kLogChunkEvents);
+  Trace trace(kProcesses, ftx_sm::TraceOptions{.record_clocks = false});
+  ReferenceTrace ref(kProcesses);
+  RandomAppender appender(&trace, &ref, 5);
+  std::vector<ftx_sm::TraceEvent> seen;
+  std::vector<const ftx_sm::TraceEvent*> addresses;
+  trace.SetAppendObserver(
+      [&](EventRef at, const ftx_sm::TraceEvent& ev, const VectorClock&) {
+        EXPECT_EQ(at, (EventRef{ev.process, ev.index}));
+        seen.push_back(ev);
+        addresses.push_back(&ev);
+      });
+  for (int i = 0; i < 2 * kChunk + 10; ++i) {
+    appender.AppendOne();
+  }
+  // Until a read folds the log, every event the observer saw stays where it
+  // was, across the chunk boundaries the appends crossed; after the fold
+  // the view holds the same event.
+  auto appended = [&ref](const ftx_sm::TraceEvent& ev) -> const Appended& {
+    return ref[static_cast<size_t>(ev.process)][static_cast<size_t>(ev.index)];
+  };
+  for (size_t i = 0; i < seen.size(); ++i) {
+    const ftx_sm::TraceEvent& ev = seen[i];
+    ASSERT_TRUE(SameEvent(ev, ev.process, ev.index, appended(ev))) << "event " << i;
+    ASSERT_TRUE(SameEvent(*addresses[i], ev.process, ev.index, appended(ev))) << "event " << i;
+  }
+  for (const ftx_sm::TraceEvent& ev : seen) {
+    ASSERT_TRUE(SameEvent(trace.event(EventRef{ev.process, ev.index}), ev.process, ev.index,
+                          appended(ev)))
+        << ev.process << ":" << ev.index;
+  }
+  ExpectMatchesReference(trace, ref);
+}
+
+TEST(TraceLog, FaultActivationMarksLoggedAndFoldedEvents) {
+  Trace trace(2);
+  // The newest logged event, as Runtime::MarkFaultActivation marks it.
+  trace.Append(0, EventKind::kInternal);
+  const EventRef newest = trace.Append(1, EventKind::kInternal, -1, false, "fault-activation");
+  trace.MarkFaultActivation(newest);
+  EXPECT_TRUE(trace.event(newest).fault_activation);
+  EXPECT_FALSE(trace.event(EventRef{0, 0}).fault_activation);
+
+  // An event a read has already folded.
+  const EventRef later = trace.Append(0, EventKind::kCommit);
+  trace.Append(1, EventKind::kVisible);
+  EXPECT_FALSE(trace.event(later).fault_activation);
+  trace.MarkFaultActivation(EventRef{0, 0});
+  EXPECT_TRUE(trace.event(EventRef{0, 0}).fault_activation);
+
+  // A logged event that is no longer the newest.
+  const EventRef older = trace.Append(0, EventKind::kInternal);
+  trace.Append(1, EventKind::kInternal);
+  trace.MarkFaultActivation(older);
+  EXPECT_TRUE(trace.event(older).fault_activation);
+
+  int64_t marked = 0;
+  for (ftx_sm::ProcessId p = 0; p < trace.num_processes(); ++p) {
+    for (const ftx_sm::TraceEvent& ev : trace.ProcessEvents(p)) {
+      marked += ev.fault_activation ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(marked, 3);
+  EXPECT_EQ(trace.FirstCommitAfter(0, 0), later);
+}
+
+TEST(TraceLog, AMovedTraceKeepsItsUnfoldedEventsAndLabels) {
+  constexpr int kProcesses = 4;
+  constexpr auto kChunk = static_cast<int>(Trace::kLogChunkEvents);
+  auto source = std::make_unique<Trace>(kProcesses);
+  ReferenceTrace ref(kProcesses);
+  {
+    RandomAppender appender(source.get(), &ref, 23);
+    for (int i = 0; i < kChunk + 100; ++i) {
+      appender.AppendOne();
+    }
+  }
+  // A label no other event carries, interned by the source alone.
+  source->Append(3, EventKind::kCrash, -1, false,
+                 "an assertion message longer than any small-string buffer");
+  ref[3].push_back(Appended{.kind = EventKind::kCrash,
+                            .label = "an assertion message longer than any small-string buffer"});
+
+  Trace moved(std::move(*source));
+  source.reset();
+  ExpectMatchesReference(moved, ref);
+
+  // Events appended after the fold, then moved again unread.
+  RandomAppender appender(&moved, &ref, 29, /*first_message=*/1000000);
+  for (int i = 0; i < 300; ++i) {
+    appender.AppendOne();
+  }
+  Trace assigned(1);
+  assigned = std::move(moved);
+  ExpectMatchesReference(assigned, ref);
+}
+
 TEST(TraceDeathTest, ReceiveWithoutRecordedSendAborts) {
   Trace trace(2);
   trace.Append(0, EventKind::kSend, 41);
