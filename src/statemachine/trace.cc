@@ -87,16 +87,16 @@ const TraceEvent& Trace::Log(const TraceEvent& ev) {
 
 void Trace::FoldLog() const {
   FTX_PROF_SCOPE("trace.fold");
+  // Exact on the first fold; a view that already holds events grows by
+  // push_back.
   for (size_t p = 0; p < views_.size(); ++p) {
-    // Exact on the first fold; a later fold grows geometrically, so reads
-    // interleaved with appends stay amortized O(1) per event.
-    std::vector<TraceEvent>& view = views_[p];
-    const auto count = static_cast<size_t>(counts_[p]);
-    if (count > view.capacity()) {
-      view.reserve(view.empty() ? count : std::max(count, 2 * view.capacity()));
+    if (views_[p].empty()) {
+      views_[p].reserve(static_cast<size_t>(counts_[p]));
     }
   }
-  for (const std::vector<TraceEvent>& chunk : log_) {
+  // Each chunk is freed once copied, so an event is held twice only while
+  // its chunk is being copied.
+  for (std::vector<TraceEvent>& chunk : log_) {
     for (const TraceEvent& ev : chunk) {
       const auto sp = static_cast<size_t>(ev.process);
       views_[sp].push_back(ev);
@@ -104,6 +104,7 @@ void Trace::FoldLog() const {
         commit_indices_[sp].push_back(ev.index);
       }
     }
+    std::vector<TraceEvent>().swap(chunk);
   }
   log_.clear();
 }
@@ -125,13 +126,6 @@ Label Trace::Intern(std::string_view text) {
 
 void Trace::MarkFaultActivation(EventRef ref) {
   FTX_CHECK(ref.valid());
-  if (!log_.empty()) {
-    TraceEvent& newest = log_.back().back();
-    if (newest.process == ref.process && newest.index == ref.index) {
-      newest.fault_activation = true;
-      return;
-    }
-  }
   SyncViews();
   auto sp = static_cast<size_t>(ref.process);
   FTX_CHECK_LT(static_cast<size_t>(ref.index), views_[sp].size());

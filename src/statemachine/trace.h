@@ -15,18 +15,18 @@
 // per-process views (ProcessEvents, event) and the commit positions
 // (FirstCommitAfter, LastCommitAtOrBefore) are built when one of those
 // reads first finds logged events: one pass in append order folds them
-// into the views, reserving each view at its final size, and frees the
-// log, so a folded trace holds each event once. Appends made after a fold
-// go back into the log and the next read folds them. A fleet run appends
-// millions of events and reads none of them, so it never builds a view.
+// into the views, reserving each empty view at its final size, and frees
+// each chunk once copied, so a folded trace holds each event once. Appends
+// made after a fold go back into the log and the next read folds them. A
+// fleet run appends millions of events and reads none of them, so it never
+// builds a view.
 //
 // Contract.
 //  * A view reflects the appends made before the read that returned it.
 //    A read after further appends may reallocate it, as a push_back would.
 //  * A Trace is used by one thread at a time: a const read may fold.
 //  * The append observer receives the logged event, whose address is
-//    stable until the next read folds the log; observers copy what they
-//    keep.
+//    stable until the log is next folded; observers copy what they keep.
 
 #ifndef FTX_SRC_STATEMACHINE_TRACE_H_
 #define FTX_SRC_STATEMACHINE_TRACE_H_
@@ -161,9 +161,8 @@ class Trace {
       std::function<void(EventRef, const TraceEvent&, const VectorClock&)>;
   void SetAppendObserver(AppendObserver observer) { observer_ = std::move(observer); }
 
-  // Marks an already-recorded event as the activation of an injected fault:
-  // in place when it is the newest logged event (the runtime marks the event
-  // it has just appended), otherwise in the folded views.
+  // Marks an already-recorded event as the activation of an injected fault
+  // (in the views, folding first).
   void MarkFaultActivation(EventRef ref);
 
   bool record_clocks() const { return options_.record_clocks; }
