@@ -11,6 +11,7 @@
 //  * DC-disk writes a redo record (dirty pages + metadata) synchronously to
 //    a modeled disk at each commit and recovers from the redo chain: it
 //    charges a read of every record and installs each page's newest image.
+//    Nothing reads its before-images, so its segment keeps none.
 //  * Non-deterministic user input and receives can be logged to render them
 //    deterministic (the -LOG protocols); recovery replays the log.
 //

@@ -137,6 +137,14 @@ TEST(SegmentDeathTest, InstallPageWithUncommittedChangesAborts) {
   EXPECT_DEATH(segment.InstallPage(4096, image), "CHECK failed");
 }
 
+TEST(SegmentDeathTest, AbortWithoutBeforeImagesAborts) {
+  Segment segment(16 * 1024, 4096, /*keep_before_images=*/false);
+  segment.WriteValue<int32_t>(0, 1);
+  segment.Commit();
+  segment.WriteValue<int32_t>(0, 2);
+  EXPECT_DEATH(segment.Abort(), "keeps no before-images");
+}
+
 TEST(Segment, ResetToZeroWipesEverything) {
   Segment segment(16 * 1024);
   segment.WriteValue<int64_t>(0, 999);
@@ -254,14 +262,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SegmentProperty, ::testing::Range<uint64_t>(1, 1
 // keep the bitmap/lazy-materialization segment byte-identical in content,
 // checksum, and dirty accounting. This is the harness that pins down the
 // fast-path/silent-store/pooled-arena machinery: any divergence between the
-// engineered barrier and the obvious semantics fails here.
-TEST_P(SegmentProperty, MatchesReferenceModelUnderRandomInterleavings) {
+// engineered barrier and the obvious semantics fails here. A segment without
+// before-images cannot abort, so where the other aborts it commits or resets.
+void CheckAgainstReferenceModel(uint64_t seed, bool keep_before_images) {
   constexpr size_t kPage = 4096;
   constexpr size_t kSize = 64 * 1024;
   constexpr size_t kPages = kSize / kPage;
-  ftx::Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 1);
+  SCOPED_TRACE(keep_before_images ? "with before-images" : "without before-images");
+  ftx::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
 
-  Segment segment(kSize, kPage);
+  Segment segment(kSize, kPage, keep_before_images);
   std::vector<uint8_t> shadow(kSize, 0);     // current content
   std::vector<uint8_t> committed(kSize, 0);  // last committed content
   std::set<size_t> dirty;                    // pages touched since commit
@@ -316,8 +326,17 @@ TEST_P(SegmentProperty, MatchesReferenceModelUnderRandomInterleavings) {
       committed = shadow;
       dirty.clear();
     } else if (roll < 0.95) {
-      segment.Abort();
-      shadow = committed;
+      if (keep_before_images) {
+        segment.Abort();
+        shadow = committed;
+      } else if (rng.NextBernoulli(0.5)) {
+        segment.Commit();
+        committed = shadow;
+      } else {
+        segment.ResetToZero();
+        std::fill(shadow.begin(), shadow.end(), 0);
+        committed = shadow;
+      }
       dirty.clear();
     } else {
       segment.ResetToZero();
@@ -341,6 +360,11 @@ TEST_P(SegmentProperty, MatchesReferenceModelUnderRandomInterleavings) {
     }
   }
   ASSERT_EQ(std::memcmp(segment.data(), shadow.data(), kSize), 0);
+}
+
+TEST_P(SegmentProperty, MatchesReferenceModelUnderRandomInterleavings) {
+  ASSERT_NO_FATAL_FAILURE(CheckAgainstReferenceModel(GetParam(), /*keep_before_images=*/true));
+  ASSERT_NO_FATAL_FAILURE(CheckAgainstReferenceModel(GetParam(), /*keep_before_images=*/false));
 }
 
 // --- SegmentHeap ---
