@@ -73,11 +73,13 @@ bool DecodeCommitSlot(const uint8_t* sector, size_t size, CommitSlot* slot) {
 inline constexpr int64_t kRecordHeaderBytes = 4 + 4 + 8 * 5 + 4 + 4;
 
 int64_t EncodedRecordBytes(const RedoRecord& record) {
-  return RoundUpToSector(kRecordHeaderBytes + static_cast<int64_t>(record.pages_payload.size()) +
+  return RoundUpToSector(kRecordHeaderBytes + record.PayloadLength() +
                          static_cast<int64_t>(record.metadata.size()));
 }
 
 ftx::Bytes EncodeRecord(const RedoRecord& record) {
+  FTX_CHECK_MSG(!record.payload_dropped, "cannot encode redo record %lld: its payload was dropped",
+                static_cast<long long>(record.sequence));
   ftx::Bytes body;
   ftx::AppendValue(&body, record.sequence);
   ftx::AppendValue(&body, static_cast<int64_t>(record.pages_payload.size()));

@@ -63,10 +63,12 @@ bool DecodeCommitSlot(const uint8_t* sector, size_t size, CommitSlot* slot);
 
 // Serializes a redo record (header with framing lengths + header CRC,
 // pages payload, metadata), zero-padded to a whole number of sectors.
+// Aborts on a record whose payload was dropped.
 ftx::Bytes EncodeRecord(const RedoRecord& record);
 
 // EncodeRecord(record).size(), computed without encoding: where the record
 // ends in an on-disk layout, for callers that need offsets but not bytes.
+// Defined for a record whose payload was dropped too.
 int64_t EncodedRecordBytes(const RedoRecord& record);
 
 enum class DecodeStatus {
