@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/common/crc32.h"
+#include "src/common/crc32_internal.h"
 #include "src/common/rng.h"
 #include "src/obs/causal/critical_path.h"
 #include "src/statemachine/dangerous_paths.h"
@@ -133,7 +134,8 @@ void BM_RedoRecordAppendUnreserved(benchmark::State& state) {
 }
 BENCHMARK(BM_RedoRecordAppendUnreserved)->Arg(256);
 
-void BM_Crc32(benchmark::State& state) {
+// One CRC entry point on a buffer of state.range(0) random bytes.
+void RunCrc32(benchmark::State& state, uint32_t (*crc)(uint32_t, const void*, size_t)) {
   const size_t bytes = static_cast<size_t>(state.range(0));
   std::vector<uint8_t> buffer(bytes);
   ftx::Rng rng(7);
@@ -141,29 +143,39 @@ void BM_Crc32(benchmark::State& state) {
     b = static_cast<uint8_t>(rng.NextU64());
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ftx::Crc32(buffer.data(), buffer.size()));
+    benchmark::DoNotOptimize(crc(0, buffer.data(), buffer.size()));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(bytes));
 }
+
+void BM_Crc32(benchmark::State& state) { RunCrc32(state, &ftx::Crc32Extend); }
 BENCHMARK(BM_Crc32)->Arg(4096)->Arg(64 << 10)->Arg(1 << 20);
 
-void BM_Crc32Portable(benchmark::State& state) {
-  // The slice-by-8 reference path, bypassing dispatch: the denominator of
-  // the hardware-CRC speedup gate in bench_hotpath.sh.
-  const size_t bytes = static_cast<size_t>(state.range(0));
-  std::vector<uint8_t> buffer(bytes);
-  ftx::Rng rng(7);
-  for (auto& b : buffer) {
-    b = static_cast<uint8_t>(rng.NextU64());
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ftx::Crc32PortableExtend(0, buffer.data(), buffer.size()));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(bytes));
-}
+// The slice-by-8 reference path, bypassing dispatch: the denominator of
+// the hardware-CRC speedup gate in bench_hotpath.sh.
+void BM_Crc32Portable(benchmark::State& state) { RunCrc32(state, &ftx::Crc32PortableExtend); }
 BENCHMARK(BM_Crc32Portable)->Arg(4096)->Arg(64 << 10)->Arg(1 << 20);
+
+// Each hardware kernel called directly, bypassing dispatch, on a page-sized
+// buffer: the two rows of the wide-vs-narrow ratio gate in bench_hotpath.sh.
+void BM_Crc32Pclmul128(benchmark::State& state) {
+  if (!ftx::crc32_internal::HardwareProbe()) {
+    state.SkipWithError("no PCLMULQDQ on this host");
+    return;
+  }
+  RunCrc32(state, &ftx::crc32_internal::ExtendPclmul128);
+}
+BENCHMARK(BM_Crc32Pclmul128)->Arg(4096);
+
+void BM_Crc32Vpclmul512(benchmark::State& state) {
+  if (!ftx::crc32_internal::WideProbe()) {
+    state.SkipWithError("no AVX-512F + VPCLMULQDQ on this host");
+    return;
+  }
+  RunCrc32(state, &ftx::crc32_internal::ExtendVpclmul512);
+}
+BENCHMARK(BM_Crc32Vpclmul512)->Arg(4096);
 
 void BM_SegmentAbort(benchmark::State& state) {
   const int64_t pages = state.range(0);

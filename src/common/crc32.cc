@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstring>
 
+#include "src/common/crc32_internal.h"
+
 // The slice-by-8 loop folds two 32-bit loads into the CRC assuming
 // little-endian byte order; a big-endian port would need byteswaps, not a
 // silently different checksum.
@@ -12,13 +14,6 @@ static_assert(std::endian::native == std::endian::little,
               "Crc32Extend's slice-by-8 loop requires a little-endian host");
 
 namespace ftx {
-
-// Implemented in crc32_hw.cc (stubbed false/portable on non-x86 targets).
-namespace crc32_internal {
-bool HardwareProbe();
-uint32_t HardwareExtend(uint32_t seed, const void* data, size_t size);
-}  // namespace crc32_internal
-
 namespace {
 
 constexpr uint32_t kPolynomial = 0xedb88320u;  // reflected IEEE 802.3

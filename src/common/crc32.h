@@ -1,22 +1,29 @@
-// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8 + PCLMUL.
+// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8 + PCLMUL/VPCLMUL.
 //
 // Used for application-level consistency checks (the paper's §2.6
 // recommendation that processes checksum their data to crash sooner after a
-// fault) and for validating log records and checkpoint images. Two
-// implementations produce bit-identical digests:
+// fault) and for validating log records and checkpoint images. Three
+// kernels produce bit-identical digests:
 //
 //   * portable: slice-by-8 table folding, eight bytes per iteration — ~5x
 //     the byte-at-a-time form on page-sized buffers;
-//   * hardware: PCLMULQDQ carry-less-multiply folding (the Intel
+//   * hardware, 128-bit: PCLMULQDQ carry-less-multiply folding (the Intel
 //     "Fast CRC Computation Using PCLMULQDQ" technique), 64 bytes per
-//     iteration across four 128-bit accumulators. Note the SSE4.2
-//     _mm_crc32_u64 instruction is NOT usable here: its polynomial is
-//     hardwired to CRC-32C (Castagnoli, 0x1EDC6F41), which can never
-//     reproduce the IEEE digests this log format is committed to.
+//     iteration across four 128-bit accumulators;
+//   * hardware, 512-bit: the same folding with AVX-512 VPCLMULQDQ, 256
+//     bytes per iteration across four 512-bit accumulators, then through
+//     the 128-bit kernel's tail (~3x the 128-bit kernel on 4 KB buffers).
 //
-// Dispatch is by runtime CPUID probe (no special compile flags needed; the
-// hardware kernel carries its own target attributes), so every build flavor
-// — FTX_NATIVE or not — gets the fast path when the host supports it, and
+// The hardware path (crc32_hw.cc) takes the 512-bit kernel for buffers of
+// 256 bytes or more on hosts with AVX-512F and VPCLMULQDQ, and the 128-bit
+// kernel for everything else of 64 bytes or more. Note the SSE4.2
+// _mm_crc32_u64 instruction is NOT usable here: its polynomial is hardwired
+// to CRC-32C (Castagnoli, 0x1EDC6F41), which can never reproduce the IEEE
+// digests this log format is committed to.
+//
+// Dispatch is by cached runtime CPUID probes (no special compile flags
+// needed; each kernel carries its own target attributes), so every build
+// flavor — FTX_NATIVE or not — gets the fastest path the host supports, and
 // digests never depend on which path ran.
 
 #ifndef FTX_SRC_COMMON_CRC32_H_
@@ -39,10 +46,11 @@ uint32_t Crc32Extend(uint32_t seed, const void* data, size_t size);
 // against. Same incremental contract as Crc32Extend.
 uint32_t Crc32PortableExtend(uint32_t seed, const void* data, size_t size);
 
-// Implementation selector. kAuto probes CPUID once and uses the PCLMUL
-// kernel when the host supports it; kHardware forces it (falls back to
-// portable, with ActiveCrc32Impl reporting kPortable, when unsupported);
-// kPortable forces the table path (the CPUID-fallback tests use this).
+// Implementation selector. kAuto probes CPUID once and uses the hardware
+// kernels when the host supports PCLMULQDQ; kHardware forces them (falls
+// back to portable, with ActiveCrc32Impl reporting kPortable, when
+// unsupported); kPortable forces the table path (the CPUID-fallback tests
+// use this). The hardware path picks between its two kernels by itself.
 enum class Crc32Impl {
   kAuto,
   kPortable,
@@ -58,7 +66,8 @@ Crc32Impl SetCrc32Impl(Crc32Impl impl);
 // The implementation currently in effect (resolves kAuto).
 Crc32Impl ActiveCrc32Impl();
 
-// True when the CPUID probe found PCLMULQDQ + SSE4.1 support.
+// True when the CPUID probe found PCLMULQDQ support (the 128-bit kernel;
+// the 512-bit one also needs AVX-512F and VPCLMULQDQ).
 bool Crc32HardwareAvailable();
 
 }  // namespace ftx
