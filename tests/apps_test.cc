@@ -133,6 +133,80 @@ TEST(Magic, PaintsCells) {
   EXPECT_TRUE(computation->app(0).CheckIntegrity(computation->runtime(0)).ok());
 }
 
+// Packs one magic command token: opcode, three reserved bytes, then x, y,
+// w, h and layer as int32 (the layout Magic::Step reads).
+ftx::Bytes MagicCommand(char opcode, int32_t x, int32_t y, int32_t w, int32_t h, int32_t layer) {
+  ftx::Bytes token = {static_cast<uint8_t>(opcode), 0, 0, 0};
+  for (int32_t field : {x, y, w, h, layer}) {
+    ftx::AppendValue(&token, field);
+  }
+  return token;
+}
+
+TEST(Magic, PaintOpcodesMatchPinnedLayout) {
+  // Each opcode of Magic::Step's paint loop, an opcode outside the four
+  // (which fills empty cells, as 'F' does), row widths below, at and above
+  // the loop's 16-cell block and the CRC kernels' 64- and 256-byte
+  // thresholds, and a rectangle clamped at the 1024-cell grid's corner. The
+  // pins were taken from the per-cell loop this one replaced.
+  struct Paint {
+    char opcode;
+    int32_t x, y, w, h, layer;
+  };
+  const Paint paints[] = {
+      {'P', 10, 10, 40, 30, 3},       {'W', 5, 20, 16, 12, 2},
+      {'E', 20, 15, 7, 9, 0},         {'F', 0, 0, 100, 50, 5},
+      {'W', 90, 40, 33, 20, 6},       {'Q', 8, 8, 70, 5, 4},
+      {'P', 1000, 1010, 100, 40, 1},  {'F', 1, 1, 17, 1, 7},
+      {'E', 0, 45, 64, 3, 0},         {'W', 995, 1000, 63, 30, 5},
+      {'P', 300, 300, 1, 1, 2},       {'F', 990, 990, 50, 50, 3},
+  };
+  std::vector<ftx::Bytes> script;
+  for (const Paint& paint : paints) {
+    script.push_back(ftx::Bytes{'k'});
+    script.push_back(MagicCommand(paint.opcode, paint.x, paint.y, paint.w, paint.h, paint.layer));
+  }
+
+  ftx_apps::MagicOptions options;
+  options.think_time = ftx::Duration();
+  std::vector<std::unique_ptr<ftx_dc::App>> apps;
+  apps.push_back(std::make_unique<ftx_apps::Magic>(options));
+  ftx::Computation computation(ftx::ComputationOptions(), std::move(apps));
+  computation.SetInputScript(0, std::move(script));
+  ASSERT_TRUE(computation.Run().all_done);
+
+  ftx_dc::Runtime& runtime = computation.runtime(0);
+  EXPECT_EQ(ftx_apps::Magic::PaintedCells(runtime), 6525);
+  EXPECT_EQ(runtime.segment().Checksum(), 0x4b9b6611u);
+
+  // Each redraw is 'R', the command count (int64), the painted region's CRC
+  // (uint32) and the running count of cells touched (int64).
+  struct Redraw {
+    uint32_t region_crc;
+    int64_t cells_touched;
+  };
+  const Redraw pinned[] = {
+      {0x296d724f, 1200}, {0x0e74110a, 1392}, {0xa66359f1, 1455}, {0x10bcdca1, 6455},
+      {0x83230486, 7115}, {0x6ecf06e4, 7465}, {0x71a32922, 7801}, {0x8f6b5d84, 7818},
+      {0xf5a0f415, 8010}, {0xc9c925ab, 8706}, {0x8b4d1797, 8707}, {0x6f88542d, 9863},
+  };
+  const std::vector<ftx::Bytes> redraws = computation.recorder().PayloadsOf(0);
+  ASSERT_EQ(redraws.size(), std::size(pinned));
+  for (size_t i = 0; i < redraws.size(); ++i) {
+    ASSERT_EQ(redraws[i].size(), 21u) << i;
+    EXPECT_EQ(redraws[i][0], 'R') << i;
+    size_t offset = 1;
+    int64_t count = 0;
+    Redraw redraw{};
+    ASSERT_TRUE(ftx::ReadValue(redraws[i], &offset, &count));
+    ASSERT_TRUE(ftx::ReadValue(redraws[i], &offset, &redraw.region_crc));
+    ASSERT_TRUE(ftx::ReadValue(redraws[i], &offset, &redraw.cells_touched));
+    EXPECT_EQ(count, static_cast<int64_t>(i) + 1);
+    EXPECT_EQ(redraw.region_crc, pinned[i].region_crc) << "redraw " << i;
+    EXPECT_EQ(redraw.cells_touched, pinned[i].cells_touched) << "redraw " << i;
+  }
+}
+
 TEST(Magic, CommandsDirtyManyPages) {
   ftx::RunOutput out = RunWorkload("magic", 30, 3, "cpvs");
   const auto& stats = out.result.per_process[0];
