@@ -422,7 +422,7 @@ struct Parser {
 }  // namespace
 
 bool Json::Parse(std::string_view text, Json* out, std::string* error) {
-  Parser parser{text};
+  Parser parser{text, 0, {}};
   if (!parser.ParseValue(out)) {
     if (error != nullptr) {
       *error = parser.error;

@@ -5,6 +5,24 @@
 #include <utility>
 
 namespace ftx_obs {
+namespace {
+
+// The fields every phase sets; flow_id and counter_values keep their
+// defaults for the caller to fill where the phase has them.
+TraceEvent MakeEvent(char phase, int pid, TraceLane lane, const char* category, std::string name,
+                     int64_t ts_ns, int64_t seq) {
+  TraceEvent event;
+  event.phase = phase;
+  event.pid = pid;
+  event.lane = lane;
+  event.category = category;
+  event.name = std::move(name);
+  event.ts_ns = ts_ns;
+  event.seq = seq;
+  return event;
+}
+
+}  // namespace
 
 const char* TraceLaneName(TraceLane lane) {
   switch (lane) {
@@ -43,8 +61,8 @@ void Tracer::Span(int pid, TraceLane lane, const char* category, std::string nam
       break;
     }
   }
-  events_.push_back(TraceEvent{'B', pid, lane, category, name, begin.nanos(), next_seq_++});
-  events_.push_back(TraceEvent{'E', pid, lane, category, std::move(name), end.nanos(), next_seq_++});
+  events_.push_back(MakeEvent('B', pid, lane, category, name, begin.nanos(), next_seq_++));
+  events_.push_back(MakeEvent('E', pid, lane, category, std::move(name), end.nanos(), next_seq_++));
 }
 
 void Tracer::Instant(int pid, TraceLane lane, const char* category, std::string name,
@@ -52,7 +70,7 @@ void Tracer::Instant(int pid, TraceLane lane, const char* category, std::string 
   if (!enabled_) {
     return;
   }
-  events_.push_back(TraceEvent{'i', pid, lane, category, std::move(name), at.nanos(), next_seq_++});
+  events_.push_back(MakeEvent('i', pid, lane, category, std::move(name), at.nanos(), next_seq_++));
 }
 
 void Tracer::FlowStart(int pid, TraceLane lane, const char* category, std::string name,
@@ -60,7 +78,7 @@ void Tracer::FlowStart(int pid, TraceLane lane, const char* category, std::strin
   if (!enabled_) {
     return;
   }
-  TraceEvent event{'s', pid, lane, category, std::move(name), at.nanos(), next_seq_++};
+  TraceEvent event = MakeEvent('s', pid, lane, category, std::move(name), at.nanos(), next_seq_++);
   event.flow_id = flow_id;
   events_.push_back(std::move(event));
 }
@@ -70,7 +88,7 @@ void Tracer::FlowFinish(int pid, TraceLane lane, const char* category, std::stri
   if (!enabled_) {
     return;
   }
-  TraceEvent event{'f', pid, lane, category, std::move(name), at.nanos(), next_seq_++};
+  TraceEvent event = MakeEvent('f', pid, lane, category, std::move(name), at.nanos(), next_seq_++);
   event.flow_id = flow_id;
   events_.push_back(std::move(event));
 }
@@ -80,8 +98,8 @@ void Tracer::CounterSample(int pid, const char* category, std::string name, ftx:
   if (!enabled_) {
     return;
   }
-  TraceEvent event{'C', pid, TraceLane::kStorage, category, std::move(name), at.nanos(),
-                   next_seq_++};
+  TraceEvent event =
+      MakeEvent('C', pid, TraceLane::kStorage, category, std::move(name), at.nanos(), next_seq_++);
   event.counter_values = std::move(values);
   events_.push_back(std::move(event));
 }
