@@ -144,7 +144,7 @@ TEST_P(CpvsContainmentProperty, FailureNeverCascades) {
   Trace trace(options.num_processes);
   std::vector<std::unique_ptr<ftx_proto::Protocol>> protocols;
   for (int p = 0; p < options.num_processes; ++p) {
-    protocols.push_back(ftx_proto::MakeCpvs());
+    protocols.push_back(ftx_proto::MakeProtocolByName("cpvs"));
   }
   for (const auto& ev : script) {
     ftx_proto::AppEvent app_event = ftx_proto::AppEvent::kInternal;
