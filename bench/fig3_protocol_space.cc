@@ -4,12 +4,14 @@
 // identify/convert non-determinism vs effort to commit only visible
 // events), prints the Fig. 4 design-variable trends derived from each
 // position, and then validates the space empirically: the same reference
-// workload is run under every implemented protocol and the measured commit
+// workload is run under every protocol and the measured commit
 // frequency must fall with radial distance from the origin — the paper's
 // headline observation about the space.
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
@@ -30,24 +32,23 @@ int main(int argc, char** argv) {
       "%-26s %6s %6s %12s %10s %10s\n"
       "--------------------------------------------------------------------------\n",
       "protocol", "x", "y", "commit-freq", "recov-cost", "prop-surv"));
-  for (const auto& entry : ftx_proto::ProtocolSpaceEntries()) {
-    suite.AddRow([entry](ftx_bench::RowContext&) {
-      auto vars = ftx_proto::DeriveDesignVariables(entry.point);
+  for (const ftx_proto::ProtocolRule& rule : ftx_proto::ProtocolRules()) {
+    suite.AddRow([rule](ftx_bench::RowContext&) {
+      auto vars = ftx_proto::DeriveDesignVariables(rule.point);
+      const std::string name(rule.name);
       ftx_bench::RowResult result;
       result.console = ftx_bench::Sprintf(
-          "%-26s %6.2f %6.2f %12.2f %10.2f %10.2f%s\n", entry.name.c_str(),
-          entry.point.nd_effort, entry.point.visible_effort, vars.relative_commit_frequency,
-          vars.recovery_constraint, vars.propagation_survival,
-          entry.implemented ? "" : "   (literature)");
+          "%-26s %6.2f %6.2f %12.2f %10.2f %10.2f\n", name.c_str(), rule.point.nd_effort,
+          rule.point.visible_effort, vars.relative_commit_frequency, vars.recovery_constraint,
+          vars.propagation_survival);
       ftx_obs::Json json_row = ftx_obs::Json::Object();
       json_row.Set("section", "design_variables");
-      json_row.Set("protocol", entry.name);
-      json_row.Set("nd_effort", entry.point.nd_effort);
-      json_row.Set("visible_effort", entry.point.visible_effort);
+      json_row.Set("protocol", name);
+      json_row.Set("nd_effort", rule.point.nd_effort);
+      json_row.Set("visible_effort", rule.point.visible_effort);
       json_row.Set("commit_frequency", vars.relative_commit_frequency);
       json_row.Set("recovery_constraint", vars.recovery_constraint);
       json_row.Set("propagation_survival", vars.propagation_survival);
-      json_row.Set("implemented", entry.implemented);
       result.json.push_back(std::move(json_row));
       return result;
     });
@@ -63,34 +64,30 @@ int main(int argc, char** argv) {
       "reduce commits):\n"
       "%-18s %8s %10s\n",
       "protocol", "radius", "ckpts"));
-  std::vector<ftx_proto::ProtocolSpaceEntry> implemented;
-  for (const auto& entry : ftx_proto::ProtocolSpaceEntries()) {
-    if (entry.implemented) {
-      implemented.push_back(entry);
-    }
-  }
-  auto radius_of = [](const ftx_proto::ProtocolSpaceEntry& entry) {
-    return std::sqrt(entry.point.nd_effort * entry.point.nd_effort +
-                     entry.point.visible_effort * entry.point.visible_effort);
+  std::vector<ftx_proto::ProtocolRule> by_radius(ftx_proto::ProtocolRules().begin(),
+                                                 ftx_proto::ProtocolRules().end());
+  auto radius_of = [](const ftx_proto::ProtocolRule& rule) {
+    return std::sqrt(rule.point.nd_effort * rule.point.nd_effort +
+                     rule.point.visible_effort * rule.point.visible_effort);
   };
-  std::sort(implemented.begin(), implemented.end(),
+  std::sort(by_radius.begin(), by_radius.end(),
             [&radius_of](const auto& a, const auto& b) { return radius_of(a) < radius_of(b); });
-  for (const auto& entry : implemented) {
-    double radius = radius_of(entry);
-    suite.AddRow([entry, radius](ftx_bench::RowContext& ctx) {
+  for (const auto& rule : by_radius) {
+    double radius = radius_of(rule);
+    suite.AddRow([name = std::string(rule.name), radius](ftx_bench::RowContext& ctx) {
       ftx::RunSpec spec;
       spec.workload = "magic";
       spec.scale = 60;
       spec.seed = ctx.SeedOr(7);
-      spec.protocol = entry.name;
+      spec.protocol = name;
       ftx::RunOutput out = ftx::RunExperiment(spec);
       ftx_bench::RowResult result;
-      result.console = ftx_bench::Sprintf("%-18s %8.2f %10lld\n", entry.name.c_str(), radius,
+      result.console = ftx_bench::Sprintf("%-18s %8.2f %10lld\n", name.c_str(), radius,
                                           static_cast<long long>(out.checkpoints));
       ftx_obs::Json json_row = ftx_obs::Json::Object();
       json_row.Set("section", "measured_commits");
       json_row.Set("workload", "magic");
-      json_row.Set("protocol", entry.name);
+      json_row.Set("protocol", name);
       json_row.Set("radius", radius);
       json_row.Set("checkpoints", out.checkpoints);
       result.json.push_back(std::move(json_row));
@@ -121,12 +118,7 @@ int main(int argc, char** argv) {
                                        ftx::Milliseconds(1));
       auto failed = computation->Run();
       ftx::Duration expansion = (failed.end_time - ftx::TimePoint()) - clean.elapsed;
-      double x = 0;
-      for (const auto& entry : ftx_proto::ProtocolSpaceEntries()) {
-        if (entry.name == name) {
-          x = entry.point.nd_effort;
-        }
-      }
+      double x = ftx_proto::FindProtocolRule(name)->point.nd_effort;
       ftx_bench::RowResult result;
       result.console =
           ftx_bench::Sprintf("%-18s %8.2f %16s\n", name, x, expansion.ToString().c_str());

@@ -2,31 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 namespace ftx_proto {
-
-const std::vector<ProtocolSpaceEntry>& ProtocolSpaceEntries() {
-  static const std::vector<ProtocolSpaceEntry> kEntries = {
-      {"commit-all", {0.0, 0.0}, true, "origin: commits every event"},
-      {"cand", {0.35, 0.0}, true, "distinguishes ND events"},
-      {"sbl", {0.55, 0.0}, true, "sender-based logging: receives logged at sender"},
-      {"targon32", {0.75, 0.0}, true, "all ND but signals converted to logged messages"},
-      {"hypervisor", {0.95, 0.0}, true, "logs all ND via virtual machine; never commits"},
-      {"cand-log", {0.65, 0.0}, true, "CAND plus input/receive logging"},
-      {"fbl", {0.6, 0.1}, true, "family-based logging: log entries at downstream processes"},
-      {"cpvs", {0.0, 0.45}, true, "commits before true visible and send events"},
-      {"cbndvs", {0.35, 0.45}, true, "commit only between ND and visible/send"},
-      {"cbndvs-log", {0.65, 0.45}, true, "CBNDVS plus input/receive logging"},
-      {"optimistic-log", {0.55, 0.7}, true,
-       "async log writes; visible waits for relevant records"},
-      {"manetho", {0.75, 0.8}, true, "antecedence graph flushed before visible"},
-      {"coordinated-ckpt", {0.1, 0.85}, true,
-       "remote processes asked to commit before a visible"},
-      {"cpv-2pc", {0.0, 0.85}, true, "all processes commit on any visible"},
-      {"cbndv-2pc", {0.35, 0.85}, true, "ND-dirty processes commit on any visible"},
-  };
-  return kEntries;
-}
 
 DesignVariables DeriveDesignVariables(const SpacePoint& point) {
   DesignVariables v;
@@ -50,12 +29,12 @@ std::string RenderProtocolSpaceAscii(int width, int height) {
   }
   canvas[static_cast<size_t>(height - 1)][0] = '+';
 
-  for (const ProtocolSpaceEntry& entry : ProtocolSpaceEntries()) {
-    int x = 2 + static_cast<int>(entry.point.nd_effort * (width - 20));
-    int y = height - 2 - static_cast<int>(entry.point.visible_effort * (height - 3));
+  for (const ProtocolRule& rule : ProtocolRules()) {
+    int x = 2 + static_cast<int>(rule.point.nd_effort * (width - 20));
+    int y = height - 2 - static_cast<int>(rule.point.visible_effort * (height - 3));
     x = std::clamp(x, 1, width - 2);
     y = std::clamp(y, 0, height - 2);
-    std::string label = "*" + entry.name;
+    std::string label = "*" + std::string(rule.name);
     for (size_t i = 0; i < label.size() && x + static_cast<int>(i) < width; ++i) {
       char& cell = canvas[static_cast<size_t>(y)][static_cast<size_t>(x) + i];
       if (cell == ' ' || i == 0) {

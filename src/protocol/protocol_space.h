@@ -2,35 +2,20 @@
 //
 // Every consistent-recovery protocol occupies a point in a two-dimensional
 // space: effort spent identifying/converting non-determinism (x axis) and
-// effort spent committing only visible events (y axis). This table places
-// both the protocols implemented in this library and the literature
-// protocols the paper locates in the space, together with the design-
-// variable trends of Fig. 4 (commit frequency/performance grow with radial
-// distance; recovery time grows along x; surviving propagation failures
-// favors distance from the x axis).
+// effort spent committing only visible events (y axis). The points are the
+// rows of ProtocolRules() (protocol.h); this module derives the design-
+// variable trends of Fig. 4 from a point (commit frequency/performance grow
+// with radial distance; recovery time grows along x; surviving propagation
+// failures favors distance from the x axis) and plots the space.
 
 #ifndef FTX_SRC_PROTOCOL_PROTOCOL_SPACE_H_
 #define FTX_SRC_PROTOCOL_PROTOCOL_SPACE_H_
 
 #include <string>
-#include <vector>
 
 #include "src/protocol/protocol.h"
 
 namespace ftx_proto {
-
-struct ProtocolSpaceEntry {
-  std::string name;
-  SpacePoint point;
-  bool implemented = false;  // instantiable via MakeProtocolByName
-  // Fig. 4 qualitative attributes derived from the point.
-  std::string notes;
-};
-
-// All entries: the 8 implemented protocols plus literature points (SBL,
-// FBL, Targon/32, Hypervisor, Optimistic logging, Manetho, Coordinated
-// checkpointing).
-const std::vector<ProtocolSpaceEntry>& ProtocolSpaceEntries();
 
 // Fig. 4 trends, computed from a point's coordinates.
 struct DesignVariables {

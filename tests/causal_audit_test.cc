@@ -395,25 +395,8 @@ TEST(CausalAuditIntegration, AuditNeverPerturbsSimulatedQuantities) {
 // A protocol that commits too little: it never commits and never logs, so
 // every unlogged ND event preceding a visible is a Save-work violation the
 // audit must flag live.
-class CommitTooLittleProtocol : public ftx_proto::Protocol {
- public:
-  std::string_view name() const override { return "commit-too-little"; }
-  ftx_proto::SpacePoint space_point() const override { return {}; }
-  ftx_proto::CommitDecision Decide(ftx_proto::AppEvent event) override {
-    if (ftx_proto::IsNdEvent(event)) {
-      nd_since_commit_ = true;
-    }
-    return {};
-  }
-  void OnCommitted() override { nd_since_commit_ = false; }
-  bool HasUncommittedNd() const override { return nd_since_commit_; }
-  std::unique_ptr<ftx_proto::Protocol> Clone() const override {
-    return std::make_unique<CommitTooLittleProtocol>();
-  }
-
- private:
-  bool nd_since_commit_ = false;
-};
+constexpr ftx_proto::ProtocolRule kCommitTooLittle = {
+    .name = "commit-too-little", .point = {0.0, 0.0}, .notes = "neither logs nor commits"};
 
 std::unique_ptr<ftx::Computation> BuildBrokenProtocolRun(uint64_t seed) {
   ftx_apps::WorkloadSetup setup =
@@ -421,7 +404,7 @@ std::unique_ptr<ftx::Computation> BuildBrokenProtocolRun(uint64_t seed) {
   ftx::ComputationOptions options;
   options.seed = seed;
   options.audit = true;
-  options.protocol_factory = [] { return std::make_unique<CommitTooLittleProtocol>(); };
+  options.protocol_factory = [] { return std::make_unique<ftx_proto::Protocol>(kCommitTooLittle); };
   auto computation =
       std::make_unique<ftx::Computation>(std::move(options), std::move(setup.apps));
   computation->SetInputScript(0, setup.scripts[0]);
