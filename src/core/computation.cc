@@ -280,15 +280,7 @@ void Computation::Pump(int pid) {
         return;
       }
       ++recovery_attempts_[static_cast<size_t>(pid)];
-      sim_->ScheduleAfterFor(pid, options_.recovery_delay, [this, pid]() {
-        auto& failed = *runtimes_[static_cast<size_t>(pid)];
-        if (failed.alive()) {
-          return;  // already recovered by someone else
-        }
-        Duration recovery_cost = failed.Recover();
-        NoteRecovery(pid, recovery_cost);
-        SchedulePump(pid, recovery_cost);
-      });
+      ScheduleRecovery(pid, options_.recovery_delay, /*from_scratch=*/false);
     }
     return;
   }
@@ -428,13 +420,30 @@ void Computation::NoteRecovery(int pid, Duration cost) {
   critical_path_->OnRecovery(pid, sim_->Now().nanos(), (sim_->Now() + cost).nanos(), phases);
 }
 
-void Computation::ScheduleStopFailure(int pid, TimePoint at, Duration recovery_delay) {
-  sim_->ScheduleAtFor(pid, at, [this, pid, recovery_delay]() {
+void Computation::ScheduleRecovery(int pid, Duration delay, bool from_scratch) {
+  sim_->ScheduleAfterFor(pid, delay, [this, pid, from_scratch]() {
+    auto& failed = *runtimes_[static_cast<size_t>(pid)];
+    if (failed.alive()) {
+      return;  // already recovered by someone else
+    }
+    Duration cost = from_scratch ? failed.RestartFromScratch() : failed.Recover();
+    NoteRecovery(pid, cost);
+    SchedulePump(pid, cost);
+  });
+}
+
+void Computation::ScheduleStop(int pid, TimePoint at, Duration recovery_delay,
+                               bool from_scratch) {
+  sim_->ScheduleAtFor(pid, at, [this, pid, recovery_delay, from_scratch]() {
     auto& rt = *runtimes_[static_cast<size_t>(pid)];
     if (!rt.alive() || rt.done()) {
       return;
     }
-    FTX_LOG(kInfo, "stop failure: p%d at %s", pid, sim_->Now().ToString().c_str());
+    if (from_scratch) {
+      FTX_LOG(kInfo, "OS crash with volatile store: p%d restarts from scratch", pid);
+    } else {
+      FTX_LOG(kInfo, "stop failure: p%d at %s", pid, sim_->Now().ToString().c_str());
+    }
     rt.Kill();
     if (critical_path_ != nullptr) {
       // Stop failures never append a kCrash trace event (the process simply
@@ -442,48 +451,21 @@ void Computation::ScheduleStopFailure(int pid, TimePoint at, Duration recovery_d
       critical_path_->OnCrash(pid);
     }
     ++pump_token_[static_cast<size_t>(pid)];  // cancel any scheduled pump
-    sim_->ScheduleAfterFor(pid, recovery_delay, [this, pid]() {
-      auto& failed = *runtimes_[static_cast<size_t>(pid)];
-      if (failed.alive()) {
-        return;
-      }
-      Duration cost = failed.Recover();
-      NoteRecovery(pid, cost);
-      SchedulePump(pid, cost);
-    });
+    ScheduleRecovery(pid, recovery_delay, from_scratch);
   });
+}
+
+void Computation::ScheduleStopFailure(int pid, TimePoint at, Duration recovery_delay) {
+  ScheduleStop(pid, at, recovery_delay, /*from_scratch=*/false);
 }
 
 void Computation::ScheduleOsStopFailure(TimePoint at, Duration reboot_delay) {
   for (int pid = 0; pid < num_processes(); ++pid) {
-    if (stores_[static_cast<size_t>(pid)]->SurvivesOsCrash()) {
-      ScheduleStopFailure(pid, at, reboot_delay);
-      continue;
-    }
     // Without Rio (or a disk log), the OS crash destroys the segment, the
     // undo log, and every checkpoint: the application can only restart from
     // scratch — all committed work is forfeit.
-    sim_->ScheduleAtFor(pid, at, [this, pid, reboot_delay]() {
-      auto& rt = *runtimes_[static_cast<size_t>(pid)];
-      if (!rt.alive() || rt.done()) {
-        return;
-      }
-      FTX_LOG(kInfo, "OS crash with volatile store: p%d restarts from scratch", pid);
-      rt.Kill();
-      if (critical_path_ != nullptr) {
-        critical_path_->OnCrash(pid);
-      }
-      ++pump_token_[static_cast<size_t>(pid)];
-      sim_->ScheduleAfterFor(pid, reboot_delay, [this, pid]() {
-        auto& failed = *runtimes_[static_cast<size_t>(pid)];
-        if (failed.alive()) {
-          return;
-        }
-        Duration cost = failed.RestartFromScratch();
-        NoteRecovery(pid, cost);
-        SchedulePump(pid, cost);
-      });
-    });
+    ScheduleStop(pid, at, reboot_delay,
+                 /*from_scratch=*/!stores_[static_cast<size_t>(pid)]->SurvivesOsCrash());
   }
 }
 
