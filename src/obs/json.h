@@ -3,10 +3,9 @@
 // Everything ftx::obs emits — metrics snapshots, Chrome trace files,
 // machine-readable bench results — is JSON, and the repository deliberately
 // carries no third-party JSON dependency. This module provides the small
-// subset the layer needs: an ordered object/array value type, a serializer
-// with stable key order (so emitted files diff cleanly across runs), and a
-// strict recursive-descent parser used by tests to round-trip what the
-// exporters produce.
+// subset the layer needs: an ordered object/array value type and a
+// serializer with stable key order (so emitted files diff cleanly across
+// runs).
 
 #ifndef FTX_SRC_OBS_JSON_H_
 #define FTX_SRC_OBS_JSON_H_
@@ -72,9 +71,6 @@ class Json {
   // Serializes the value. indent == 0 emits compact one-line JSON;
   // indent > 0 pretty-prints with that many spaces per level.
   std::string Dump(int indent = 0) const;
-
-  // Strict parse of a complete JSON document (trailing garbage rejected).
-  static bool Parse(std::string_view text, Json* out, std::string* error = nullptr);
 
  private:
   void DumpTo(std::string* out, int indent, int depth) const;
