@@ -1,8 +1,9 @@
-// End-to-end tests for the literature protocols (SBL, Targon/32,
-// Hypervisor, Optimistic Logging, Coordinated Checkpointing): stop-failure
-// recovery with consistent output on real workloads, commit-count
-// relationships along the protocol-space axes, and Fig. 4's recovery-time
-// trend (protocols further out the x axis replay longer).
+// End-to-end tests for the seven literature protocols (SBL, Targon/32,
+// Hypervisor, Optimistic Logging, Coordinated Checkpointing, Family-Based
+// Logging, Manetho): stop-failure recovery with consistent output on real
+// workloads, commit-count relationships along the protocol-space axes, and
+// Fig. 4's recovery-time trend (protocols further out the x axis replay
+// longer).
 
 #include <gtest/gtest.h>
 
