@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "src/common/check.h"
+#include "src/common/flag_value.h"
 #include "src/common/log.h"
 #include "src/obs/prof/prof.h"
 
@@ -25,12 +26,16 @@ constexpr FlagSpec kBenchFlags[] = {
     {"--full", nullptr, "paper-scale run (default is a fast small-scale run)",
      [](BenchOptions* options, const char*) { options->full_scale = true; }},
     {"--scale", "N", "explicit workload scale / trial count, overriding --full",
-     [](BenchOptions* options, const char* value) { options->scale_override = std::atoi(value); }},
+     [](BenchOptions* options, const char* value) {
+       options->scale_override = ftx::ParseIntegerFlag<int>("--scale", value);
+     }},
     {"--jobs", "N", "worker threads for independent trials (default: all hardware threads)",
-     [](BenchOptions* options, const char* value) { options->jobs = std::atoi(value); }},
+     [](BenchOptions* options, const char* value) {
+       options->jobs = ftx::ParseIntegerFlag<int>("--jobs", value);
+     }},
     {"--seed", "S", "base seed overriding the bench's built-in one",
      [](BenchOptions* options, const char* value) {
-       options->seed = std::strtoull(value, nullptr, 10);
+       options->seed = ftx::ParseIntegerFlag<uint64_t>("--seed", value);
      }},
     {"--json", "PATH", "write machine-readable results (ftx.bench-results JSON)",
      [](BenchOptions* options, const char* value) { options->json_path = value; }},
@@ -42,16 +47,18 @@ constexpr FlagSpec kBenchFlags[] = {
      [](BenchOptions* options, const char*) { options->audit = true; }},
     {"--repeat", "N", "host-time repetitions for wall-clock rows (min/median reported)",
      [](BenchOptions* options, const char* value) {
-       options->repeat = std::max(1, std::atoi(value));
+       options->repeat = std::max(1, ftx::ParseIntegerFlag<int>("--repeat", value));
      }},
     {"--prof", "PATH", "write a collapsed-stack host-time profile (FlameGraph format)",
      [](BenchOptions* options, const char* value) { options->prof_path = value; }},
     {"--batch", "N", "DC-disk group-commit window (records per sync; <= 1 = one record per window)",
      [](BenchOptions* options, const char* value) {
-       options->batch = std::strtoll(value, nullptr, 10);
+       options->batch = ftx::ParseIntegerFlag<int64_t>("--batch", value);
      }},
     {"--shards", "N", "partitioned event-engine shards (byte-identical results; 0 = default)",
-     [](BenchOptions* options, const char* value) { options->shards = std::atoi(value); }},
+     [](BenchOptions* options, const char* value) {
+       options->shards = ftx::ParseIntegerFlag<int>("--shards", value);
+     }},
     {"--log-level", "LEVEL", "error|warning|info|debug (default warning)",
      [](BenchOptions* options, const char* value) {
        ftx::LogLevel level;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/apps/workloads.h"
+#include "src/common/flag_value.h"
 #include "src/core/computation.h"
 #include "src/core/experiment.h"
 #include "src/protocol/protocol.h"
@@ -61,13 +62,13 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (flag == "--store") {
       args->store = next();
     } else if (flag == "--scale") {
-      args->scale = std::atoi(next());
+      args->scale = ftx::ParseIntegerFlag<int>("--scale", next());
     } else if (flag == "--seed") {
-      args->seed = static_cast<uint64_t>(std::atoll(next()));
+      args->seed = ftx::ParseIntegerFlag<uint64_t>("--seed", next());
     } else if (flag == "--fail-at-ms") {
-      args->fail_at_ms.push_back(std::atoll(next()));
+      args->fail_at_ms.push_back(ftx::ParseIntegerFlag<int64_t>("--fail-at-ms", next()));
     } else if (flag == "--fail-pid") {
-      args->fail_pid = std::atoi(next());
+      args->fail_pid = ftx::ParseIntegerFlag<int>("--fail-pid", next());
     } else if (flag == "--check-save-work") {
       args->check_save_work = true;
     } else if (flag == "--list-protocols") {
@@ -75,7 +76,7 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (flag == "--summarize-trace") {
       args->summarize_trace = true;
     } else if (flag == "--dump-trace") {
-      args->dump_trace = std::atoll(next());
+      args->dump_trace = ftx::ParseIntegerFlag<int64_t>("--dump-trace", next());
     } else if (flag == "--trace") {
       args->trace_path = next();
     } else if (flag == "--metrics") {

@@ -69,6 +69,31 @@ TEST(BenchUsage, DefaultsLeaveEverythingOff) {
   EXPECT_EQ(options.shards, 0);  // 0 = the bench's own choice
 }
 
+TEST(BenchUsageDeathTest, NumericFlagsRefuseAnythingButAWholeInteger) {
+  // Each refusal exits 2 naming the flag and the value, before any run.
+  auto parse = [](const char* flag, const char* value) {
+    const char* argv[] = {"bench", flag, value};
+    ftx_bench::ParseBenchOptions(3, const_cast<char**>(argv));
+  };
+  EXPECT_EXIT(parse("--jobs", "abc"), testing::ExitedWithCode(2),
+              "invalid value for --jobs: 'abc'");
+  EXPECT_EXIT(parse("--scale", "2x"), testing::ExitedWithCode(2),
+              "invalid value for --scale: '2x'");
+  EXPECT_EXIT(parse("--seed", "-5"), testing::ExitedWithCode(2),
+              "invalid value for --seed: '-5'");
+  EXPECT_EXIT(parse("--repeat", " 3"), testing::ExitedWithCode(2),
+              "invalid value for --repeat: ' 3'");
+  EXPECT_EXIT(parse("--batch", ""), testing::ExitedWithCode(2), "invalid value for --batch: ''");
+  EXPECT_EXIT(parse("--shards", "99999999999"), testing::ExitedWithCode(2),
+              "invalid value for --shards: '99999999999'");
+  // A negative --batch is still a window of one record.
+  const char* argv[] = {"bench", "--batch", "-1", "--seed", "18446744073709551615"};
+  ftx_bench::BenchOptions options =
+      ftx_bench::ParseBenchOptions(static_cast<int>(std::size(argv)), const_cast<char**>(argv));
+  EXPECT_EQ(options.batch, -1);
+  EXPECT_EQ(options.seed, 18446744073709551615u);
+}
+
 TEST(LogLevelParse, AcceptsNamesAliasesAndDigits) {
   ftx::LogLevel level = ftx::LogLevel::kError;
   EXPECT_TRUE(ftx::ParseLogLevel("debug", &level));
