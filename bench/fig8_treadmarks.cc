@@ -12,7 +12,10 @@
 // CBNDVS-LOG >> 2PC (visible events are rare, so coordinated commits win
 // by orders of magnitude); DC-disk is unusable except under 2PC.
 
+#include <string>
+
 #include "bench/bench_util.h"
+#include "src/protocol/protocol.h"
 
 int main(int argc, char** argv) {
   ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(argc, argv);
@@ -25,8 +28,7 @@ int main(int argc, char** argv) {
 
   suite.Text(ftx_bench::Fig8Header("Fig 8(d)", "treadmarks barnes-hut", scale,
                                    /*fps_mode=*/false));
-  for (const char* protocol :
-       {"cand", "cand-log", "cpvs", "cbndvs", "cbndvs-log", "cpv-2pc", "cbndv-2pc"}) {
+  for (const std::string& protocol : ftx_proto::MeasuredProtocolNames()) {
     ftx_bench::AddFig8Row(suite, "treadmarks", protocol, scale, /*seed=*/44, /*fps_mode=*/false);
   }
   return suite.Run();

@@ -14,7 +14,10 @@
 // Checking sustains full speed everywhere; DC-disk degrades, to unplayable
 // for the CAND variants.
 
+#include <string>
+
 #include "bench/bench_util.h"
+#include "src/protocol/protocol.h"
 
 int main(int argc, char** argv) {
   ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(argc, argv);
@@ -26,8 +29,7 @@ int main(int argc, char** argv) {
   suite.SetMeta("seed", 33);
 
   suite.Text(ftx_bench::Fig8Header("Fig 8(c)", "xpilot", scale, /*fps_mode=*/true));
-  for (const char* protocol :
-       {"cand", "cand-log", "cpvs", "cbndvs", "cbndvs-log", "cpv-2pc", "cbndv-2pc"}) {
+  for (const std::string& protocol : ftx_proto::MeasuredProtocolNames()) {
     ftx_bench::AddFig8Row(suite, "xpilot", protocol, scale, /*seed=*/33, /*fps_mode=*/true);
   }
   return suite.Run();

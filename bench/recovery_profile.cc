@@ -31,6 +31,7 @@
 #include "bench/bench_util.h"
 #include "src/common/check.h"
 #include "src/obs/prof/prof.h"
+#include "src/protocol/protocol.h"
 #include "src/recovery/consistency.h"
 
 namespace {
@@ -204,9 +205,9 @@ int main(int argc, char** argv) {
 
   std::vector<SweepPoint> points;
   int i = 0;
-  for (const char* protocol :
-       {"cand", "cand-log", "cpvs", "cbndvs", "cbndvs-log", "cpv-2pc", "cbndv-2pc"}) {
-    points.push_back({"protocol", "treadmarks", protocol, 0.5, 6100 + static_cast<uint64_t>(i++)});
+  for (const std::string& protocol : ftx_proto::MeasuredProtocolNames()) {
+    points.push_back(
+        {"protocol", "treadmarks", protocol.c_str(), 0.5, 6100 + static_cast<uint64_t>(i++)});
   }
   for (double fraction : {0.25, 0.5, 0.8}) {
     points.push_back(
