@@ -77,26 +77,27 @@ Runtime::Runtime(int pid, int num_processes, App* app,
 
 void Runtime::BindMetrics() {
   ftx_obs::Registry* r = env_.metrics;
-  const std::string p = "p" + std::to_string(pid_) + ".";
   // Probes read the very fields stats() exposes: the registry view and the
   // legacy struct are the same memory.
-  r->RegisterCounterProbe(p + "dc.commits", [this]() { return stats_.commits; });
-  r->RegisterCounterProbe(p + "dc.coordinated_commits",
+  r->RegisterCounterProbe(pid_, "dc.commits", [this]() { return stats_.commits; });
+  r->RegisterCounterProbe(pid_, "dc.coordinated_commits",
                           [this]() { return stats_.coordinated_commits; });
-  r->RegisterCounterProbe(p + "dc.commit_ns", [this]() { return stats_.commit_time.nanos(); });
-  r->RegisterCounterProbe(p + "dc.pages_committed", [this]() { return stats_.pages_committed; });
-  r->RegisterCounterProbe(p + "dc.bytes_persisted", [this]() { return stats_.bytes_persisted; });
-  r->RegisterCounterProbe(p + "dc.events", [this]() { return stats_.events; });
-  r->RegisterCounterProbe(p + "dc.nd_events", [this]() { return stats_.nd_events; });
-  r->RegisterCounterProbe(p + "dc.visible_events", [this]() { return stats_.visible_events; });
-  r->RegisterCounterProbe(p + "dc.sends", [this]() { return stats_.sends; });
-  r->RegisterCounterProbe(p + "dc.receives", [this]() { return stats_.receives; });
-  r->RegisterCounterProbe(p + "dc.logged_events", [this]() { return stats_.logged_events; });
-  r->RegisterCounterProbe(p + "dc.rollbacks", [this]() { return stats_.rollbacks; });
-  r->RegisterCounterProbe(p + "dc.recovery_ns", [this]() { return stats_.recovery_time.nanos(); });
-  crash_counter_ = r->GetCounter(p + "dc.crash_events");
-  fault_counter_ = r->GetCounter(p + "faults.activations");
-  flush_counter_ = r->GetCounter(p + "dc.ndlog_flushes");
+  r->RegisterCounterProbe(pid_, "dc.commit_ns", [this]() { return stats_.commit_time.nanos(); });
+  r->RegisterCounterProbe(pid_, "dc.pages_committed", [this]() { return stats_.pages_committed; });
+  r->RegisterCounterProbe(pid_, "dc.bytes_persisted", [this]() { return stats_.bytes_persisted; });
+  r->RegisterCounterProbe(pid_, "dc.events", [this]() { return stats_.events; });
+  r->RegisterCounterProbe(pid_, "dc.nd_events", [this]() { return stats_.nd_events; });
+  r->RegisterCounterProbe(pid_, "dc.visible_events", [this]() { return stats_.visible_events; });
+  r->RegisterCounterProbe(pid_, "dc.sends", [this]() { return stats_.sends; });
+  r->RegisterCounterProbe(pid_, "dc.receives", [this]() { return stats_.receives; });
+  r->RegisterCounterProbe(pid_, "dc.logged_events", [this]() { return stats_.logged_events; });
+  r->RegisterCounterProbe(pid_, "dc.rollbacks", [this]() { return stats_.rollbacks; });
+  r->RegisterCounterProbe(pid_, "dc.recovery_ns",
+                          [this]() { return stats_.recovery_time.nanos(); });
+  r->RegisterCounterProbe(pid_, "dc.crash_events", [this]() { return stats_.crash_events; });
+  r->RegisterCounterProbe(pid_, "faults.activations",
+                          [this]() { return stats_.fault_activations; });
+  r->RegisterCounterProbe(pid_, "dc.ndlog_flushes", [this]() { return stats_.ndlog_flushes; });
   commit_hist_ = r->GetHistogram("dc.commit_ns");
   recovery_hist_ = r->GetHistogram("dc.recovery_ns");
 }
@@ -189,9 +190,7 @@ ftx_proto::CommitDecision Runtime::PreEvent(ftx_proto::AppEvent event) {
       env_.tracer->Span(pid_, ftx_obs::TraceLane::kStorage, "dc", "ndlog.flush", base,
                          base + flush_cost);
     }
-    if (flush_counter_ != nullptr) {
-      flush_counter_->Increment();
-    }
+    ++stats_.ndlog_flushes;
     Charge(flush_cost);
     unflushed_log_bytes_ = 0;
     flushed_log_records_ = nd_log_.size();
@@ -905,9 +904,7 @@ ftx::Status Runtime::Bind(uint16_t port) {
 
 void Runtime::Crash(const std::string& reason) {
   FTX_LOG(kInfo, "p%d crash: %s", pid_, reason.c_str());
-  if (crash_counter_ != nullptr) {
-    crash_counter_->Increment();
-  }
+  ++stats_.crash_events;
   if (env_.tracer != nullptr) {
     env_.tracer->Instant(pid_, ftx_obs::TraceLane::kRecovery, "fault", "crash: " + reason, Now());
   }
@@ -918,9 +915,7 @@ void Runtime::Crash(const std::string& reason) {
 }
 
 void Runtime::MarkFaultActivation() {
-  if (fault_counter_ != nullptr) {
-    fault_counter_->Increment();
-  }
+  ++stats_.fault_activations;
   if (env_.tracer != nullptr) {
     env_.tracer->Instant(pid_, ftx_obs::TraceLane::kRecovery, "fault", "fault-activation", Now());
   }

@@ -104,6 +104,9 @@ struct RuntimeStats {
   int64_t logged_events = 0;
   int64_t rollbacks = 0;
   ftx::Duration recovery_time;
+  int64_t crash_events = 0;       // Crash() calls
+  int64_t fault_activations = 0;  // MarkFaultActivation() calls
+  int64_t ndlog_flushes = 0;      // ND-log flushes forced before an event
 };
 
 // Everything a Runtime needs from the surrounding computation. sim,
@@ -323,9 +326,9 @@ class Runtime : public ProcessEnv {
   // never reported committed — forget them (all-or-prefix semantics).
   void DropStagedCommits();
 
-  // Registers "p<pid>.*" probes over stats_ and creates the owned
-  // instruments below. Called from the constructor when env_.metrics is
-  // set.
+  // Registers one per-process probe over each stats_ field (read as
+  // "p<pid>.dc.*" and "p<pid>.faults.activations") and gets the shared
+  // histograms below. Called from the constructor when env_.metrics is set.
   void BindMetrics();
 
   int pid_;
@@ -368,12 +371,9 @@ class Runtime : public ProcessEnv {
   RuntimeStats stats_;
   RecoveryBreakdown last_recovery_;
 
-  // Owned instruments (null when no registry is attached). The histograms
-  // are computation-wide ("dc.commit_ns" / "dc.recovery_ns"), shared across
-  // processes via the registry's get-or-create semantics.
-  ftx_obs::Counter* crash_counter_ = nullptr;
-  ftx_obs::Counter* fault_counter_ = nullptr;
-  ftx_obs::Counter* flush_counter_ = nullptr;
+  // Computation-wide histograms ("dc.commit_ns" / "dc.recovery_ns"), shared
+  // across processes via the registry's get-or-create semantics; null when
+  // no registry is attached.
   ftx_obs::Histogram* commit_hist_ = nullptr;
   ftx_obs::Histogram* recovery_hist_ = nullptr;
 };

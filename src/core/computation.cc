@@ -155,12 +155,11 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
         .tracer = &tracer_,
         .audit = audit_.get(),
     };
-    const std::string prefix = "p" + std::to_string(pid) + ".";
     if (disks_.back() != nullptr) {
-      disks_.back()->BindMetrics(&metrics_, prefix);
+      disks_.back()->BindMetrics(&metrics_, pid);
     }
     if (redo_log != nullptr) {
-      redo_log->BindMetrics(&metrics_, prefix);
+      redo_log->BindMetrics(&metrics_, pid);
     }
 
     std::unique_ptr<ftx_proto::Protocol> protocol;

@@ -21,6 +21,12 @@ Json& Json::Set(std::string key, Json value) {
   return *this;
 }
 
+Json& Json::AppendMember(std::string key, Json value) {
+  FTX_CHECK_MSG(type_ == Type::kObject, "Json::AppendMember on a non-object");
+  members_.emplace_back(std::move(key), std::move(value));
+  return *this;
+}
+
 const Json* Json::Find(std::string_view key) const {
   for (const auto& [k, v] : members_) {
     if (k == key) {

@@ -59,6 +59,9 @@ class Json {
 
   // --- object access (insertion-ordered) ---
   Json& Set(std::string key, Json value);  // returns *this for chaining
+  // Appends a member whose key the caller knows is new, without Set's scan
+  // of the earlier members (which makes n Sets quadratic).
+  Json& AppendMember(std::string key, Json value);
   const Json* Find(std::string_view key) const;
   const std::vector<std::pair<std::string, Json>>& members() const { return members_; }
 

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "src/common/sim_time.h"
 #include "src/obs/metrics.h"
@@ -71,13 +70,12 @@ class DiskModel {
   }
   WriteJournal* journal() const { return journal_.get(); }
 
-  // Exposes I/O counters through a metrics registry under
-  // "<prefix>disk.sync_writes" and "<prefix>disk.bytes_written" (prefix is
-  // typically "p<pid>." since each machine owns one disk).
-  void BindMetrics(ftx_obs::Registry* registry, const std::string& prefix) {
-    registry->RegisterCounterProbe(prefix + "disk.sync_writes", [this]() { return total_ios_; });
-    registry->RegisterCounterProbe(prefix + "disk.bytes_written",
-                                   [this]() { return total_bytes_; });
+  // Exposes I/O counters through a metrics registry as the per-process
+  // probes "p<pid>.disk.sync_writes" and "p<pid>.disk.bytes_written" of the
+  // process whose machine owns the disk.
+  void BindMetrics(ftx_obs::Registry* registry, int pid) {
+    registry->RegisterCounterProbe(pid, "disk.sync_writes", [this]() { return total_ios_; });
+    registry->RegisterCounterProbe(pid, "disk.bytes_written", [this]() { return total_bytes_; });
   }
 
  private:

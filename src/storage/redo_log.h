@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -168,13 +167,12 @@ class RedoLog {
   void KeepPayloadsBelow(int64_t sequence);
   bool KeepsPayload(int64_t sequence) const { return sequence < payload_horizon_; }
 
-  // Exposes log counters through a metrics registry under
-  // "<prefix>redo.records" and "<prefix>redo.bytes_written" (prefix is
-  // typically "p<pid>." since each process owns one log).
-  void BindMetrics(ftx_obs::Registry* registry, const std::string& prefix) {
-    registry->RegisterCounterProbe(prefix + "redo.records",
-                                   [this]() { return next_sequence_; });
-    registry->RegisterCounterProbe(prefix + "redo.bytes_written",
+  // Exposes log counters through a metrics registry as the per-process
+  // probes "p<pid>.redo.records" and "p<pid>.redo.bytes_written" of the
+  // process that owns the log.
+  void BindMetrics(ftx_obs::Registry* registry, int pid) {
+    registry->RegisterCounterProbe(pid, "redo.records", [this]() { return next_sequence_; });
+    registry->RegisterCounterProbe(pid, "redo.bytes_written",
                                    [this]() { return bytes_written_; });
   }
 
