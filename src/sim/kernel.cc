@@ -7,85 +7,30 @@
 namespace ftx_sim {
 
 KernelSim::KernelSim(Simulator* sim, int num_processes, KernelLimits limits)
-    : KernelSim(sim, ShardPlan::Single(num_processes), limits) {}
-
-KernelSim::KernelSim(Simulator* sim, ShardPlan plan, KernelLimits limits)
-    : sim_(sim), plan_(std::move(plan)), limits_(limits) {
+    : sim_(sim), limits_(limits) {
   FTX_CHECK(sim != nullptr);
-  ftx::Status valid = ValidateShardPlan(plan_);
-  FTX_CHECK_MSG(valid.ok(), "invalid shard plan: %s", valid.message().c_str());
-  shards_.resize(static_cast<size_t>(plan_.num_shards()));
-  for (int s = 0; s < plan_.num_shards(); ++s) {
-    const size_t width = static_cast<size_t>(plan_.ShardEnd(s) - plan_.ShardBegin(s));
-    shards_[static_cast<size_t>(s)].states.resize(width);
-    shards_[static_cast<size_t>(s)].records.resize(width);
-  }
+  FTX_CHECK_GE(num_processes, 1);
+  states_.resize(static_cast<size_t>(num_processes));
+  records_.resize(static_cast<size_t>(num_processes));
 }
 
-KernelSim::ShardBlock& KernelSim::BlockOf(int pid) {
-  FTX_CHECK_MSG(plan_.Covers(pid), "pid %d outside kernel shard plan %s", pid,
-                plan_.ToString().c_str());
-  return shards_[static_cast<size_t>(plan_.OwnerOf(pid))];
+size_t KernelSim::Index(int pid) const {
+  FTX_CHECK_MSG(pid >= 0 && static_cast<size_t>(pid) < states_.size(),
+                "pid %d outside the kernel's %zu processes", pid, states_.size());
+  return static_cast<size_t>(pid);
 }
 
-const KernelSim::ShardBlock& KernelSim::BlockOf(int pid) const {
-  FTX_CHECK_MSG(plan_.Covers(pid), "pid %d outside kernel shard plan %s", pid,
-                plan_.ToString().c_str());
-  return shards_[static_cast<size_t>(plan_.OwnerOf(pid))];
-}
-
-KernelState& KernelSim::MutableStateOf(int pid) {
-  return BlockOf(pid).states[static_cast<size_t>(pid - plan_.ShardBegin(plan_.OwnerOf(pid)))];
-}
-
-const KernelState& KernelSim::StateOf(int pid) const {
-  return BlockOf(pid).states[static_cast<size_t>(pid - plan_.ShardBegin(plan_.OwnerOf(pid)))];
-}
-
-std::vector<SyscallRecord>& KernelSim::LogOf(int pid) {
-  return BlockOf(pid).records[static_cast<size_t>(pid - plan_.ShardBegin(plan_.OwnerOf(pid)))];
-}
-
-void KernelSim::CountSyscall(int pid) {
-  ++syscalls_;
-  ++BlockOf(pid).syscalls;
-}
+const KernelState& KernelSim::StateOf(int pid) const { return states_[Index(pid)]; }
 
 KernelState KernelSim::SnapshotFor(int pid) const { return StateOf(pid); }
 
-size_t KernelSim::RecordCount(int pid) const {
-  return BlockOf(pid).records[static_cast<size_t>(pid - plan_.ShardBegin(plan_.OwnerOf(pid)))]
-      .size();
-}
-
-int64_t KernelSim::disk_blocks_free() const {
-  // The disk is shared; each shard tracks its range's usage incrementally,
-  // so the global check is O(num_shards) instead of O(num_processes). The
-  // sum equals the per-process sum exactly.
-  int64_t used = 0;
-  for (const ShardBlock& block : shards_) {
-    used += block.disk_blocks_used;
-  }
-  return limits_.disk_blocks_total - used;
-}
-
-int64_t KernelSim::ShardDiskBlocksUsed(int shard) const {
-  FTX_CHECK_GE(shard, 0);
-  FTX_CHECK_LT(shard, num_shards());
-  return shards_[static_cast<size_t>(shard)].disk_blocks_used;
-}
-
-int64_t KernelSim::ShardSyscalls(int shard) const {
-  FTX_CHECK_GE(shard, 0);
-  FTX_CHECK_LT(shard, num_shards());
-  return shards_[static_cast<size_t>(shard)].syscalls;
-}
+size_t KernelSim::RecordCount(int pid) const { return records_[Index(pid)].size(); }
 
 // Applies one syscall to pid's kernel state. Shared by the live syscall
 // entry points and the recovery replay path so both produce identical state.
 ftx::Status KernelSim::Apply(int pid, const SyscallRecord& record, int* out_fd,
                              int64_t* out_written) {
-  KernelState& state = MutableStateOf(pid);
+  KernelState& state = states_[Index(pid)];
   switch (record.op) {
     case SyscallRecord::Op::kOpen: {
       // Find a free slot; grow the table up to the per-process limit.
@@ -146,7 +91,7 @@ ftx::Status KernelSim::Apply(int pid, const SyscallRecord& record, int* out_fd,
         return ftx::ResourceExhaustedError("disk full");
       }
       state.disk_blocks_used += blocks;
-      BlockOf(pid).disk_blocks_used += blocks;
+      disk_blocks_used_ += blocks;
       file.offset += record.amount;
       if (out_written != nullptr) {
         *out_written = record.amount;
@@ -158,7 +103,7 @@ ftx::Status KernelSim::Apply(int pid, const SyscallRecord& record, int* out_fd,
 }
 
 ftx::Result<int> KernelSim::Open(int pid, const std::string& path, bool writable) {
-  CountSyscall(pid);
+  ++syscalls_;
   SyscallRecord record;
   record.op = SyscallRecord::Op::kOpen;
   record.path = path;
@@ -169,43 +114,43 @@ ftx::Result<int> KernelSim::Open(int pid, const std::string& path, bool writable
     return status;
   }
   record.fd = fd;
-  LogOf(pid).push_back(std::move(record));
+  records_[Index(pid)].push_back(std::move(record));
   return fd;
 }
 
 ftx::Status KernelSim::Close(int pid, int fd) {
-  CountSyscall(pid);
+  ++syscalls_;
   SyscallRecord record;
   record.op = SyscallRecord::Op::kClose;
   record.fd = fd;
   FTX_RETURN_IF_ERROR(Apply(pid, record, nullptr, nullptr));
-  LogOf(pid).push_back(std::move(record));
+  records_[Index(pid)].push_back(std::move(record));
   return ftx::Status::Ok();
 }
 
 ftx::Status KernelSim::Bind(int pid, uint16_t port) {
-  CountSyscall(pid);
+  ++syscalls_;
   SyscallRecord record;
   record.op = SyscallRecord::Op::kBind;
   record.port = port;
   FTX_RETURN_IF_ERROR(Apply(pid, record, nullptr, nullptr));
-  LogOf(pid).push_back(std::move(record));
+  records_[Index(pid)].push_back(std::move(record));
   return ftx::Status::Ok();
 }
 
 ftx::Status KernelSim::Seek(int pid, int fd, int64_t offset) {
-  CountSyscall(pid);
+  ++syscalls_;
   SyscallRecord record;
   record.op = SyscallRecord::Op::kSeek;
   record.fd = fd;
   record.amount = offset;
   FTX_RETURN_IF_ERROR(Apply(pid, record, nullptr, nullptr));
-  LogOf(pid).push_back(std::move(record));
+  records_[Index(pid)].push_back(std::move(record));
   return ftx::Status::Ok();
 }
 
 ftx::Result<int64_t> KernelSim::Write(int pid, int fd, int64_t nbytes) {
-  CountSyscall(pid);
+  ++syscalls_;
   FTX_CHECK_GE(nbytes, 0);
   SyscallRecord record;
   record.op = SyscallRecord::Op::kWrite;
@@ -216,12 +161,13 @@ ftx::Result<int64_t> KernelSim::Write(int pid, int fd, int64_t nbytes) {
   if (!status.ok()) {
     return status;
   }
-  LogOf(pid).push_back(std::move(record));
+  records_[Index(pid)].push_back(std::move(record));
   return written;
 }
 
 ftx::TimePoint KernelSim::GetTimeOfDay(int pid) {
-  CountSyscall(pid);
+  Index(pid);  // only a process of this kernel calls it
+  ++syscalls_;
   // The perturbation models clock-read granularity; more importantly it is
   // drawn from the simulator's RNG stream, so a reexecuting process sees a
   // different value — the definition of a transient ND event.
@@ -231,13 +177,13 @@ ftx::TimePoint KernelSim::GetTimeOfDay(int pid) {
 
 ftx::Status KernelSim::ReconstructFor(int pid, size_t record_count) {
   ++reconstructions_;
-  auto& log = LogOf(pid);
+  auto& log = records_[Index(pid)];
   FTX_CHECK_LE(record_count, log.size());
 
   // Release this process's disk usage before rebuilding (replayed writes
-  // re-account it, in its shard's tally as well as its own state).
-  KernelState& state = MutableStateOf(pid);
-  BlockOf(pid).disk_blocks_used -= state.disk_blocks_used;
+  // re-account it, in the total as well as its own state).
+  KernelState& state = states_[Index(pid)];
+  disk_blocks_used_ -= state.disk_blocks_used;
   state = KernelState{};
 
   for (size_t i = 0; i < record_count; ++i) {

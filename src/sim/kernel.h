@@ -15,13 +15,10 @@
 // User input (read from a tty) and network receives live in the runtime's
 // context API, not here.
 //
-// Fleet-scale layout: kernel state is stored in per-shard blocks following
-// the engine's ShardPlan — each shard owns the state and replay logs of its
-// contiguous pid range, with its own syscall/disk tallies. Global disk
-// accounting (the blocks are one shared disk) is kept incrementally per
-// shard instead of summed over every process on each write, so a
-// 10k-process fleet pays O(num_shards) per disk-full check, not O(N). The
-// numbers are identical to the monolithic sum by construction.
+// Fleet-scale layout: one state and one replay log per pid, indexed
+// directly, and one running total of the blocks every process uses on the
+// shared disk, so a 10k-process fleet pays O(1) per syscall and per
+// disk-full check, not O(N).
 
 #ifndef FTX_SRC_SIM_KERNEL_H_
 #define FTX_SRC_SIM_KERNEL_H_
@@ -35,7 +32,6 @@
 #include "src/common/status.h"
 #include "src/common/sim_time.h"
 #include "src/obs/metrics.h"
-#include "src/sim/partition.h"
 #include "src/sim/simulator.h"
 
 namespace ftx_sim {
@@ -79,13 +75,7 @@ struct KernelLimits {
 class KernelSim {
  public:
   // The simulator supplies time-of-day and its transient-ND perturbation.
-  // Monolithic layout: one state block owning all pids.
   KernelSim(Simulator* sim, int num_processes, KernelLimits limits = {});
-
-  // Partitioned layout: one state block per shard of `plan`. Syscall
-  // results are identical for every plan — only locality and the tallies
-  // reported per shard change.
-  KernelSim(Simulator* sim, ShardPlan plan, KernelLimits limits);
 
   // --- syscalls (all record into the process's replay log) ---
 
@@ -114,42 +104,24 @@ class KernelSim {
   // log to that point (reexecution re-appends from there).
   ftx::Status ReconstructFor(int pid, size_t record_count);
 
-  int64_t disk_blocks_free() const;
-
-  // --- per-shard telemetry ---
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  int64_t ShardDiskBlocksUsed(int shard) const;
-  int64_t ShardSyscalls(int shard) const;
+  int64_t disk_blocks_free() const { return limits_.disk_blocks_total - disk_blocks_used_; }
 
   // Exposes syscall-layer counters through a metrics registry
   // ("kernel.syscalls", "kernel.reconstructions", "kernel.disk_blocks_free").
   void BindMetrics(ftx_obs::Registry* registry);
 
  private:
-  // One shard's kernel state: the KernelStates and replay logs of its
-  // contiguous pid range, plus local tallies that roll up incrementally
-  // into the global disk/syscall accounting.
-  struct ShardBlock {
-    std::vector<KernelState> states;
-    std::vector<std::vector<SyscallRecord>> records;
-    int64_t disk_blocks_used = 0;
-    int64_t syscalls = 0;
-  };
-
   ftx::Status Apply(int pid, const SyscallRecord& record, int* out_fd, int64_t* out_written);
-  KernelState& MutableStateOf(int pid);
-  ShardBlock& BlockOf(int pid);
-  const ShardBlock& BlockOf(int pid) const;
-  std::vector<SyscallRecord>& LogOf(int pid);
-  void CountSyscall(int pid);
+  // pid's slot in states_ and records_; aborts on a pid outside them.
+  size_t Index(int pid) const;
 
   Simulator* sim_;
-  ShardPlan plan_;
   KernelLimits limits_;
   int64_t syscalls_ = 0;
   int64_t reconstructions_ = 0;
-  std::vector<ShardBlock> shards_;
+  int64_t disk_blocks_used_ = 0;  // summed over every process's state
+  std::vector<KernelState> states_;
+  std::vector<std::vector<SyscallRecord>> records_;
 };
 
 }  // namespace ftx_sim

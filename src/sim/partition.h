@@ -3,10 +3,10 @@
 //
 // A fleet-scale simulation splits its processes across sub-simulators
 // ("shards"), one per contiguous pid range. The plan is pure data — which
-// shard owns which pids — shared by the Simulator (per-shard event heaps),
-// the Network (deliveries land on the receiver's shard), and the KernelSim
-// (per-shard kernel state blocks). Partitioning never changes simulated
-// results: the engine's merge front replays the exact monolithic event
+// shard owns which pids — kept by the Simulator alone (per-shard event
+// heaps; a network delivery lands on the receiver's shard because the
+// Network schedules it for the receiving pid). Partitioning never changes
+// simulated results: the engine's merge front replays the exact monolithic event
 // order for any plan (see simulator.h), so a plan is a layout choice, not a
 // semantic one.
 

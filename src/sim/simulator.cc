@@ -95,8 +95,6 @@ bool Simulator::RunOne() {
   shard.queue.pop();
   --pending_;
   now_ = t;
-  shard.local_now = t;
-  ++shard.events_executed;
   ++events_executed_;
   executing_shard_ = front;
   fn();
@@ -118,18 +116,6 @@ void Simulator::RunUntilIdle(int64_t max_events) {
     FTX_CHECK_MSG(++executed <= max_events, "simulator exceeded %lld events; runaway loop?",
                   static_cast<long long>(max_events));
   }
-}
-
-ftx::TimePoint Simulator::ShardNow(int shard) const {
-  FTX_CHECK_GE(shard, 0);
-  FTX_CHECK_LT(shard, num_shards());
-  return shards_[static_cast<size_t>(shard)].local_now;
-}
-
-int64_t Simulator::ShardEventsExecuted(int shard) const {
-  FTX_CHECK_GE(shard, 0);
-  FTX_CHECK_LT(shard, num_shards());
-  return shards_[static_cast<size_t>(shard)].events_executed;
 }
 
 }  // namespace ftx_sim

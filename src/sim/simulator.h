@@ -7,9 +7,8 @@
 // after injected failures.
 //
 // Fleet-scale runs partition the engine: one sub-simulator ("shard") per
-// contiguous pid range (ShardPlan), each owning a local event heap and a
-// local clock view. Events scheduled for a process land on its owner
-// shard's heap; RunOne pops from a deterministic merge front that picks the
+// contiguous pid range (ShardPlan), each owning a local event heap. Events
+// scheduled for a process land on its owner shard's heap; RunOne pops from a deterministic merge front that picks the
 // globally least (time, seq) entry across shard heads. Because every event
 // carries the global schedule id — never a shard-local one — the merge
 // front replays the exact monolithic event order for ANY shard count:
@@ -17,7 +16,8 @@
 // and across shards the global id decides same-timestamp ties (the
 // cross-shard generalization of the byte-identical --jobs discipline in
 // src/core/parallel.h). Sharding is therefore a layout/locality choice —
-// smaller heaps, per-shard telemetry — with zero semantic footprint.
+// smaller heaps — with zero semantic footprint. The simulator is the only
+// component that keeps the plan.
 
 #ifndef FTX_SRC_SIM_SIMULATOR_H_
 #define FTX_SRC_SIM_SIMULATOR_H_
@@ -105,12 +105,6 @@ class Simulator {
   int64_t events_executed() const { return events_executed_; }
   bool HasPending() const { return pending_ > 0; }
 
-  // --- per-shard telemetry (the shard's "local" state) ---
-
-  // Time of the last event executed on shard s (its local clock; always
-  // <= Now(), which tracks the merge front).
-  ftx::TimePoint ShardNow(int shard) const;
-  int64_t ShardEventsExecuted(int shard) const;
   // Events whose scheduling callback ran on a different shard than the one
   // they landed on (cross-shard message deliveries, mostly).
   int64_t cross_shard_events() const { return cross_shard_events_; }
@@ -131,8 +125,6 @@ class Simulator {
   };
   struct Shard {
     std::priority_queue<Scheduled, std::vector<Scheduled>, Later> queue;
-    ftx::TimePoint local_now;
-    int64_t events_executed = 0;
   };
 
   void ScheduleOn(int shard, ftx::TimePoint t, std::function<void()> fn);

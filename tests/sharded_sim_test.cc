@@ -153,25 +153,6 @@ TEST(ShardedSimulator, RandomCascadesReplayMonolithicOrder) {
   }
 }
 
-TEST(ShardedSimulator, PerShardAccountingSumsToTotals) {
-  const int num_processes = 12;
-  Simulator sim(7, ShardPlan::Uniform(num_processes, 4));
-  EXPECT_EQ(sim.num_shards(), 4);
-  for (int pid = 0; pid < num_processes; ++pid) {
-    for (int i = 0; i < 5; ++i) {
-      sim.ScheduleAfterFor(pid, ftx::Nanoseconds(10 * (pid + i)), [] {});
-    }
-  }
-  sim.RunUntilIdle();
-  int64_t per_shard = 0;
-  for (int s = 0; s < sim.num_shards(); ++s) {
-    per_shard += sim.ShardEventsExecuted(s);
-    EXPECT_LE(sim.ShardNow(s).nanos(), sim.Now().nanos());
-  }
-  EXPECT_EQ(per_shard, sim.events_executed());
-  EXPECT_EQ(per_shard, 5LL * num_processes);
-}
-
 // --- regression: cross-shard tiebreak uses the global schedule id ---
 
 // Three same-timestamp events on two shards, scheduled in the order
