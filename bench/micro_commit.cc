@@ -20,7 +20,6 @@
 #include "src/statemachine/invariants.h"
 #include "src/statemachine/random_model.h"
 #include "src/statemachine/trace.h"
-#include "src/storage/commit_pipeline.h"
 #include "src/storage/redo_log.h"
 #include "src/storage/stable_store.h"
 #include "src/vista/heap.h"
@@ -192,37 +191,35 @@ BENCHMARK(BM_SegmentAbort)->Arg(16)->Arg(256);
 
 void BM_GroupCommit(benchmark::State& state) {
   // Simulated DC-disk commit throughput under group commit: windows of N
-  // 4-page records stage through the CommitPipeline and each flush charges
-  // one PersistCost over the window's payload — one seek+rotation pair per
-  // *window* instead of per record. sim_commits_per_sec is the model-time
-  // throughput; the ratio of the batch-8 and batch-1 rows is the
-  // grouped-commit gate in scripts/bench_hotpath.sh (>= 2x at batch 8 on
-  // the DiskModel). Every record rewrites pages 0-3, so the log releases
-  // each record's payload once the next one lands and memory stays bounded.
+  // 4-page records append with one RedoLog::AppendBatch, and each window
+  // charges one DiskStore::PersistCost over its payload — one seek+rotation
+  // pair per *window* instead of per record. sim_commits_per_sec is the
+  // model-time throughput; the ratio of the batch-8 and batch-1 rows is the
+  // grouped-commit gate in scripts/bench_hotpath.sh (>= 2x at batch 8).
+  // Every record rewrites pages 0-3, so the log releases each record's
+  // payload once the next one lands and memory stays bounded.
   const int64_t batch = state.range(0);
-  ftx_store::DiskModel disk_model;
-  ftx_store::DiskStore store(&disk_model);
+  ftx_store::DiskStore store;
   ftx_store::RedoLog log;
-  ftx_store::BatchPolicy policy;
-  policy.max_records = batch;
-  ftx_store::CommitPipeline pipeline(&log, policy);
+  std::vector<ftx_store::RedoRecord> window;
 
   std::vector<uint8_t> page(4096, 0xa5);
   double sim_ns = 0.0;
   int64_t commits = 0;
   for (auto _ : state) {
-    ftx_store::RedoRecord record;
+    ftx_store::RedoRecord& record = window.emplace_back();
     record.ReservePages(4, page.size());
     for (int64_t p = 0; p < 4; ++p) {
       record.AppendPage(p * 4096, page.data(), page.size());
     }
     ++commits;
-    if (pipeline.Stage(std::move(record))) {
-      sim_ns += static_cast<double>(store.PersistCost(pipeline.Flush()).nanos());
+    if (static_cast<int64_t>(window.size()) >= batch) {
+      sim_ns += static_cast<double>(store.PersistCost(log.AppendBatch(std::move(window))).nanos());
+      window.clear();
     }
   }
-  if (!pipeline.empty()) {
-    sim_ns += static_cast<double>(store.PersistCost(pipeline.Flush()).nanos());
+  if (!window.empty()) {
+    sim_ns += static_cast<double>(store.PersistCost(log.AppendBatch(std::move(window))).nanos());
   }
   state.SetItemsProcessed(commits);
   state.counters["sim_commits_per_sec"] =
@@ -351,8 +348,7 @@ void BM_RioPersistCostModel(benchmark::State& state) {
 BENCHMARK(BM_RioPersistCostModel);
 
 void BM_DiskPersistCostModel(benchmark::State& state) {
-  ftx_store::DiskModel disk_model;
-  ftx_store::DiskStore disk(&disk_model);
+  ftx_store::DiskStore disk;
   int64_t bytes = 16 * 1024;
   for (auto _ : state) {
     benchmark::DoNotOptimize(disk.PersistCost(bytes).nanos());

@@ -138,7 +138,7 @@ RATIO_ACCEPTANCE = [
     # Hardware (PCLMUL-folded) CRC32 vs the slice-by-8 portable path.
     ("crc32_hw_vs_portable", "BM_Crc32/1048576", "BM_Crc32Portable/1048576",
      "bytes_per_second", 4.0),
-    # Group commit at window=8 vs one-sync-pair-per-commit, in DiskModel
+    # Group commit at window=8 vs one-sync-pair-per-commit, in DiskStore
     # simulated commits/sec (the paper's two-synchronous-I/O cost model).
     ("group_commit_batch8", "BM_GroupCommit/8", "BM_GroupCommit/1",
      "sim_commits_per_sec", 2.0),

@@ -7,7 +7,6 @@
 #include "src/common/log.h"
 #include "src/obs/causal/audit.h"
 #include "src/obs/prof/prof.h"
-#include "src/storage/commit_pipeline.h"
 
 namespace ftx_dc {
 namespace {
@@ -56,8 +55,6 @@ Runtime::Runtime(int pid, int num_processes, App* app,
                   "Runtime: recoverable mode requires dependency 'trace'");
     FTX_CHECK_MSG(env_.store != nullptr,
                   "Runtime: recoverable mode requires dependency 'store'");
-    FTX_CHECK_MSG(env_.redo_log == nullptr || env_.commit_pipeline != nullptr,
-                  "Runtime: a redo log requires dependency 'commit_pipeline'");
   }
   // Only recovery without a redo log rolls the segment back from its
   // before-images; DC-disk rebuilds it from the redo log, so its barrier
@@ -158,9 +155,7 @@ void Runtime::Kill() {
   if (env_.tracer != nullptr) {
     env_.tracer->Instant(pid_, ftx_obs::TraceLane::kRecovery, "fault", "stop-failure", Now());
   }
-  // Staged group-commit records die with the process: they were never
-  // durable and never reported committed.
-  DropStagedCommits();
+  staged_.clear();
   alive_ = false;
 }
 
@@ -293,13 +288,13 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
     // visitor hands page spans straight to record serialization — the only
     // copy is the one the persist itself requires. The serialize phase
     // includes the incremental CRC AppendPage computes over each page.
-    ftx_store::RedoRecord record;
+    ftx_store::RedoRecord& record = staged.record;
     {
       FTX_PROF_SCOPE("commit.serialize_crc");
       // The record lands after the ones already staged in the open window.
       // Past the log's payload horizon only the page counts are kept.
       const int64_t sequence =
-          env_.redo_log->next_sequence() + env_.commit_pipeline->staged_records();
+          env_.redo_log->next_sequence() + static_cast<int64_t>(staged_.size());
       if (env_.redo_log->KeepsPayload(sequence)) {
         record.ReservePages(pages, segment_->page_size());
         segment_->ForEachPersistedDirtyPage(
@@ -313,19 +308,24 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
       }
       ftx::AppendValue(&record.metadata, meta);
     }
-    staged.payload_bytes = record.PayloadBytes() + 64;
+    staged.payload_bytes = record.PayloadBytes() + 64;  // record header, as AppendBatch bills it
     // The record waits in the open window until a flush persists it —
     // policy trip, ND-visible/send event, coordinated round, or clean
     // shutdown — and nothing is reported committed (trace event, audit
     // breakdown, message release) until then, so Save-work is untouched.
-    must_flush = env_.commit_pipeline->Stage(std::move(record));
+    int64_t window_bytes = staged.payload_bytes;
+    for (const StagedCommit& open : staged_) {
+      window_bytes += open.payload_bytes;
+    }
+    must_flush =
+        env_.group_commit.WindowFull(static_cast<int64_t>(staged_.size()) + 1, window_bytes);
   } else {
     // Rio: data is already in the persistent segment; commit atomically
     // discards the undo log, whose (memory-speed) retirement the flush
     // charges.
     staged.payload_bytes = segment_->undo_bytes();
   }
-  staged_.push_back(staged);
+  staged_.push_back(std::move(staged));
   committed_ = meta;
   communicated_mask_ = 0;  // dependencies up to here ride this window
 
@@ -364,10 +364,14 @@ ftx::Duration Runtime::FlushCommitWindow(ftx::Duration uncharged) {
   for (const StagedCommit& staged : staged_) {
     window_bytes += staged.payload_bytes;
   }
-  if (env_.commit_pipeline != nullptr) {
-    FTX_CHECK_EQ(records, env_.commit_pipeline->staged_records());
+  if (env_.redo_log != nullptr) {
     FTX_PROF_SCOPE("commit.persist");
-    env_.commit_pipeline->Flush();
+    std::vector<ftx_store::RedoRecord> batch;
+    batch.reserve(staged_.size());
+    for (StagedCommit& staged : staged_) {
+      batch.push_back(std::move(staged.record));
+    }
+    env_.redo_log->AppendBatch(std::move(batch));
   }
   const ftx::Duration window_cost = env_.store->PersistCost(window_bytes);
   // Overlap credit: a pipelined implementation captures + CRCs record N+1
@@ -430,13 +434,6 @@ ftx::Duration Runtime::FlushCommitWindow(ftx::Duration uncharged) {
   return charge;
 }
 
-void Runtime::DropStagedCommits() {
-  if (env_.commit_pipeline != nullptr) {
-    env_.commit_pipeline->Drop();
-  }
-  staged_.clear();
-}
-
 void Runtime::AppendCoordinationEvent(ftx_sm::EventKind kind, int64_t message_id) {
   if (env_.trace != nullptr && mode_ == RuntimeMode::kRecoverable) {
     // Coordination receives are recovery-system events, not application
@@ -464,7 +461,7 @@ ftx::Duration Runtime::CommitNow(bool coordinated, int64_t atomic_group) {
 ftx::Duration Runtime::Recover() {
   FTX_CHECK(!alive_);
   FTX_PROF_SCOPE("recover");
-  DropStagedCommits();  // belt-and-braces; Kill() already dropped them
+  staged_.clear();  // belt-and-braces; Kill() already dropped them
   ++stats_.rollbacks;
   ftx::Duration cost = costs_.recovery_fixed;
   // The breakdown mirrors the charges below, bucket by bucket; every
@@ -482,9 +479,8 @@ ftx::Duration Runtime::Recover() {
     // rebuilt segment is the same as a full replay's.
     segment_->ResetToZero();
     const ftx_store::DiskParameters* disk_params = nullptr;
-    auto* disk_store = dynamic_cast<ftx_store::DiskStore*>(env_.store);
-    if (disk_store != nullptr) {
-      disk_params = &disk_store->disk()->parameters();
+    if (const auto* disk_store = dynamic_cast<const ftx_store::DiskStore*>(env_.store)) {
+      disk_params = &disk_store->parameters();
     }
     {
       FTX_PROF_SCOPE("recover.log_scan");
@@ -597,7 +593,7 @@ ftx::Duration Runtime::Recover() {
 
 ftx::Duration Runtime::RestartFromScratch() {
   FTX_CHECK(!alive_);
-  DropStagedCommits();
+  staged_.clear();
   ++stats_.rollbacks;
   segment_->ResetToZero();
   if (heap_ != nullptr) {

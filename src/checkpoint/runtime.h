@@ -46,9 +46,6 @@
 namespace ftx_causal {
 class CausalAudit;
 }  // namespace ftx_causal
-namespace ftx_store {
-class CommitPipeline;
-}  // namespace ftx_store
 
 namespace ftx_dc {
 
@@ -122,12 +119,11 @@ struct Environment {
   ftx_rec::OutputRecorder* recorder = nullptr;
   ftx_store::StableStore* store = nullptr;
   ftx_store::RedoLog* redo_log = nullptr;
-  // Group-commit staging pipeline over redo_log; required in recoverable
-  // mode whenever redo_log is set. Every DC-disk commit stages its record
-  // here, and a whole window persists under one sync pair (flushed before
+  // Group commit over redo_log: every DC-disk commit stages its record,
+  // and a whole window persists under one sync pair (flushed before
   // anything externally visible escapes — the Save-work invariant is
   // untouched). A one-record window is the paper's commit.
-  ftx_store::CommitPipeline* commit_pipeline = nullptr;
+  ftx_store::BatchPolicy group_commit;
   // Initiates a coordinated commit round over the given participant scope.
   std::function<void(ftx_proto::CoordinationScope)> coordinated_commit;
   // Atomic group id of the most recent coordinated round (2PC bookkeeping).
@@ -245,11 +241,10 @@ class Runtime : public ProcessEnv {
     }
   };
 
-  // One commit in the open window, not yet persisted: what the runtime
-  // still owes the observers — audit cost breakdown, kCommit trace event,
-  // histogram sample, tracer span — once the window's sync lands. On
-  // DC-disk the redo record itself is staged in env_.commit_pipeline; a Rio
-  // commit has nothing to stage.
+  // One commit in the open window, not yet persisted: its DC-disk redo
+  // record, and what the runtime still owes the observers — audit cost
+  // breakdown, kCommit trace event, histogram sample, tracer span — once
+  // the window's sync lands.
   struct StagedCommit {
     bool coordinated = false;
     int64_t atomic_group = -1;
@@ -261,6 +256,7 @@ class Runtime : public ProcessEnv {
                                  // under the persist of earlier records
     ftx::Duration reprotect_cost;
     ftx::TimePoint begin;  // simulated stage instant (reported interval start)
+    ftx_store::RedoRecord record;  // DC-disk only; a Rio commit stages none
   };
 
   // Auxiliary (non-segment) state that must travel with commits.
@@ -305,26 +301,23 @@ class Runtime : public ProcessEnv {
   void FlushPendingCommit();
 
   // Captures a commit and stages it into the open window, flushing the
-  // window when the batching policy trips, when the commit is coordinated,
-  // and always on Rio. Returns the simulated cost, flush included; the
-  // caller charges it.
+  // window when env_.group_commit closes it, when the commit is
+  // coordinated, and always on Rio. Returns the simulated cost, flush
+  // included; the caller charges it.
   ftx::Duration DoCommit(bool coordinated, int64_t atomic_group = -1);
 
-  // The one place commits are persisted and reported. Persists the open
-  // window under one StableStore::PersistCost over its summed payload (one
-  // pair of sync I/Os on DC-disk), then reports every staged commit in
-  // stage order — audit cost breakdown, kCommit trace event, histogram
-  // sample, tracer span — and releases retained messages. Each commit
-  // reports fixed + capture + re-protect + its share of the window charge.
+  // The one place commits are persisted and reported. Appends the open
+  // window's redo records with one RedoLog::AppendBatch and charges one
+  // StableStore::PersistCost over its summed payload (one pair of sync I/Os
+  // on DC-disk), then reports every staged commit in stage order — audit
+  // cost breakdown, kCommit trace event, histogram sample, tracer span —
+  // and releases retained messages. Each commit reports fixed + capture +
+  // re-protect + its share of the window charge.
   // `uncharged` is cost the caller has accrued but not yet charged (the
   // stage cost when DoCommit flushes), which the window's I/O waits for.
   // Returns the window's simulated cost after the pipeline overlap credit;
   // zero when nothing is staged. The caller charges it.
   ftx::Duration FlushCommitWindow(ftx::Duration uncharged = ftx::Duration());
-
-  // Crash/kill/restart path: staged records never became durable and were
-  // never reported committed — forget them (all-or-prefix semantics).
-  void DropStagedCommits();
 
   // Registers one per-process probe over each stats_ field (read as
   // "p<pid>.dc.*" and "p<pid>.faults.activations") and gets the shared
@@ -361,8 +354,9 @@ class Runtime : public ProcessEnv {
   int64_t step_count_ = 0;
   bool pending_commit_ = false;
   CommittedMeta committed_;
-  // Commits in the open window, in stage order; on DC-disk parallel to
-  // env_.commit_pipeline's staged records.
+  // Commits in the open window, in stage order. A crash, kill or restart
+  // drops them: they never became durable and were never reported
+  // committed (all-or-prefix semantics).
   std::vector<StagedCommit> staged_;
 
   ftx::Duration step_cost_;

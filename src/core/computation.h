@@ -31,8 +31,6 @@
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/statemachine/trace.h"
-#include "src/storage/commit_pipeline.h"
-#include "src/storage/disk_model.h"
 #include "src/storage/redo_log.h"
 #include "src/storage/stable_store.h"
 
@@ -55,6 +53,8 @@ struct ComputationOptions {
   ftx_dc::RuntimeCosts costs;
   ftx_sim::NetworkOptions network;
   ftx_sim::KernelLimits kernel_limits;
+  // DC-disk only: the modeled disk of every machine (bench/ablation_cost_model
+  // sweeps its seek time).
   ftx_store::DiskParameters disk;
   // Number of contiguous-pid shards for the partitioned event engine
   // (src/sim/partition.h). Simulated results are byte-identical for every
@@ -68,20 +68,13 @@ struct ComputationOptions {
   // ClockOf/EventHappensBefore (and therefore the causal audit) are
   // unavailable. Ignored (full clocks kept) when audit is on.
   bool lean_trace = false;
-  // DC-disk only: journal every redo-log disk write of machine 0 (process
-  // 0's disk) as sector-granular ops with barriers at the commit's two sync
-  // points (see src/storage/write_journal.h). Off by default — the journal
-  // retains every byte ever committed, and only the crash-state exploration
-  // engine (src/torture/) consumes it, reading machine 0's alone. Never
-  // changes any simulated quantity.
-  bool journal_disk_writes = false;
   // DC-disk only: group-commit batching policy. Every DC-disk runtime
-  // stages its commits into a ftx_store::CommitPipeline, and each window
-  // persists under a single sync pair; the runtime forces a flush before
-  // any visible/send event, so Save-work is unaffected. The default
-  // one-record window is one sync pair per commit, the paper's DC-disk.
-  // Larger windows change the disk write schedule and therefore simulated
-  // commit latencies, so golden-reproducing runs keep the default.
+  // stages its commits' redo records, and each window persists under a
+  // single sync pair; the runtime forces a flush before any visible/send
+  // event, so Save-work is unaffected. The default one-record window is
+  // one sync pair per commit, the paper's DC-disk. Larger windows change
+  // the disk write schedule and therefore simulated commit latencies, so
+  // golden-reproducing runs keep the default.
   ftx_store::BatchPolicy group_commit;
   // Automatic recovery after a crash event (propagation-failure studies).
   bool auto_recover = true;
@@ -188,15 +181,10 @@ class Computation {
   ftx_causal::CriticalPathTracker* critical_path() { return critical_path_.get(); }
   ftx_dc::Runtime& runtime(int pid);
   ftx_dc::App& app(int pid);
-  // DC-disk only (nullptr otherwise): the machine's redo log, and — for
-  // pid 0 when journal_disk_writes is set — its write-op journal. The
-  // torture engine uses these to collect op traces and to install survivor
-  // records before a scheduled recovery.
+  // DC-disk only (nullptr otherwise): the machine's redo log. The torture
+  // engine attaches a write-op journal to machine 0's before Run, and
+  // installs survivor records in it before a scheduled recovery.
   ftx_store::RedoLog* redo_log(int pid);
-  ftx_store::WriteJournal* write_journal(int pid);
-  // DC-disk only (nullptr otherwise): the machine's group-commit pipeline,
-  // which every commit of a DC-disk process stages through.
-  ftx_store::CommitPipeline* commit_pipeline(int pid);
   const ComputationOptions& options() const { return options_; }
   int recovery_attempts(int pid) const;
   // True when a process exhausted max_recovery_attempts (it kept crashing
@@ -238,11 +226,10 @@ class Computation {
   std::unique_ptr<ftx_obs::TimeSeriesDb> tsdb_;
   std::unique_ptr<ftx_causal::CriticalPathTracker> critical_path_;
 
-  // Per-process storage stack (one disk/log per machine in DC-disk mode).
-  std::vector<std::unique_ptr<ftx_store::DiskModel>> disks_;
+  // Per-process storage stack (one disk store and redo log per machine in
+  // DC-disk mode).
   std::vector<std::unique_ptr<ftx_store::StableStore>> stores_;
   std::vector<std::unique_ptr<ftx_store::RedoLog>> redo_logs_;
-  std::vector<std::unique_ptr<ftx_store::CommitPipeline>> commit_pipelines_;
 
   std::vector<std::unique_ptr<ftx_dc::Runtime>> runtimes_;
 

@@ -117,6 +117,25 @@ struct RedoRecord {
   int64_t PayloadBytes() const;
 };
 
+// Group-commit batching policy of a DC-disk runtime, which stages its
+// commits' records and persists each window with one AppendBatch. The
+// default one-record window keeps one sync pair per commit, the paper's
+// DC-disk; larger windows change the sector/barrier write schedule (and
+// therefore simulated commit latencies), so runs meant to reproduce the
+// committed goldens keep the default.
+struct BatchPolicy {
+  // A window closes when it holds max_records records (<= 1: every
+  // record), or when its summed payload (PayloadBytes + header) reaches
+  // kMaxBytes. The record that crosses the line still joins the window, so
+  // a single oversized record never wedges it.
+  static constexpr int64_t kMaxBytes = 1 << 20;
+  int64_t max_records = 1;
+
+  bool WindowFull(int64_t records, int64_t bytes) const {
+    return records >= max_records || bytes >= kMaxBytes;
+  }
+};
+
 class WriteJournal;
 
 class RedoLog {
@@ -138,14 +157,14 @@ class RedoLog {
   const std::vector<RedoRecord>& records() const { return records_; }
   const RedoRecord* Latest() const { return records_.empty() ? nullptr : &records_.back(); }
 
-  // Attaches a sector-granular write journal (owned by the machine's
-  // DiskModel): every AppendBatch then emits the window's two synchronous
-  // I/Os as journal ops — record sectors + barrier, commit-slot sector +
-  // barrier — encoding only the records that keep their payload (a record
-  // past the payload horizon is journaled without bytes, see
-  // write_journal.h). The crash-state exploration engine replays these
-  // ops to build survivor images (see src/storage/log_image.h), so a
-  // journaled log keeps every record it appends from then on. nullptr
+  // Attaches a sector-granular write journal, which the caller owns: every
+  // AppendBatch then emits the window's two synchronous I/Os as journal
+  // ops — record sectors + barrier, commit-slot sector + barrier —
+  // encoding only the records that keep their payload (a record past the
+  // payload horizon is journaled without bytes, see write_journal.h). The
+  // crash-state exploration engine attaches one to machine 0's log and
+  // replays its ops to build survivor images (see src/storage/log_image.h),
+  // so a journaled log keeps every record it appends from then on. nullptr
   // detaches.
   void AttachJournal(WriteJournal* journal);
 

@@ -14,9 +14,9 @@
 //
 // Producer: RedoLog::AppendBatch emits a window's record-body sectors, a
 // barrier, the commit-slot sector, and a second barrier (the paper's
-// two-sync-I/O checkpoint for a one-record window). The journal is owned by
-// the DiskModel of the machine whose platters it describes (see
-// DiskModel::EnableJournal).
+// two-sync-I/O checkpoint for a one-record window). The crash-state
+// exploration engine owns the journal and attaches it to the redo log of
+// machine 0, whose platters it describes (see RedoLog::AttachJournal).
 //
 // Ops without bytes: a depth-capped exploration reads the sector bytes of
 // its first few commit windows only, yet a run journals megabytes of
@@ -73,7 +73,7 @@ struct DiskOp {
 
 class WriteJournal {
  public:
-  // Ops are stamped with clock() when set (the computation wires the
+  // Ops are stamped with clock() when set (the exploration engine wires the
   // simulator's Now); without a clock they carry the zero TimePoint.
   void SetClock(std::function<ftx::TimePoint()> clock) { clock_ = std::move(clock); }
 

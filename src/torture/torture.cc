@@ -942,19 +942,17 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
   reference_spec.mode = ftx_dc::RuntimeMode::kBaseline;
   ftx::RunOutput reference = ftx::RunExperiment(reference_spec);
 
-  // Phase 2: the traced run. Machine 0's disk journals every redo-log
-  // write; the journal never changes a simulated quantity, so this run's
-  // timeline is identical to an unjournaled one.
+  // Phase 2: the traced run. Machine 0's redo log journals every disk
+  // write, stamped with the simulated clock; the journal never changes a
+  // simulated quantity, so this run's timeline is identical to an
+  // unjournaled one. Declared first, the journal outlives the run.
+  ftx_store::WriteJournal journal;
   ftx::RunSpec traced_spec = base;
   traced_spec.mode = ftx_dc::RuntimeMode::kRecoverable;
   traced_spec.audit = spec.audit;
-  traced_spec.tweak_options = [apply_batch](ftx::ComputationOptions* o) {
-    o->journal_disk_writes = true;
-    apply_batch(o);
-  };
   std::unique_ptr<ftx::Computation> traced = ftx::BuildComputation(traced_spec);
-  const ftx_store::WriteJournal* journal = traced->write_journal(0);
-  FTX_CHECK_MSG(journal != nullptr, "traced run has no write journal");
+  journal.SetClock([sim = &traced->sim()]() { return sim->Now(); });
+  traced->redo_log(0)->AttachJournal(&journal);
   // Phases 3-4 read the sector bytes of the explored windows' records and
   // of the commit slots alone, and phase 5 installs only survivors among
   // those records, so past the depth cap the log keeps no record payload
@@ -995,7 +993,7 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
   std::vector<ftx::TimePoint> commit_time;
   std::set<int64_t> survivors;
   {
-    const std::vector<DiskOp>& ops = journal->ops();
+    const std::vector<DiskOp>& ops = journal.ops();
     const std::vector<RedoRecord>& chain = traced->redo_log(0)->records();
     report.commits = static_cast<int64_t>(chain.size());
     report.journal_ops = static_cast<int64_t>(ops.size());

@@ -12,6 +12,7 @@
 #include "src/core/experiment.h"
 #include "src/statemachine/invariants.h"
 #include "src/storage/redo_log.h"
+#include "src/storage/write_journal.h"
 
 namespace {
 
@@ -237,10 +238,11 @@ TEST(Integration, RedoLogReleaseLeavesRecoveryUnchanged) {
   auto run = [&](bool journaled) {
     ftx::RunSpec s = spec;
     s.mode = ftx_dc::RuntimeMode::kRecoverable;
-    if (journaled) {
-      s.tweak_options = [](ftx::ComputationOptions* o) { o->journal_disk_writes = true; };
-    }
+    ftx_store::WriteJournal journal;
     std::unique_ptr<ftx::Computation> computation = ftx::BuildComputation(s);
+    if (journaled) {
+      computation->redo_log(0)->AttachJournal(&journal);
+    }
     computation->ScheduleStopFailure(0, kill_at, recovery_delay);
     Observed observed;
     // Recover runs at kill_at + recovery_delay; the process's next step

@@ -11,7 +11,6 @@
 #include "gtest/gtest.h"
 #include "src/common/rng.h"
 #include "src/core/experiment.h"
-#include "src/storage/commit_pipeline.h"
 #include "src/storage/log_image.h"
 #include "src/storage/redo_log.h"
 #include "src/storage/write_journal.h"
@@ -65,28 +64,6 @@ TEST(WriteJournal, SplitsWritesIntoPaddedSectors) {
   }
 }
 
-// The torture engine reads machine 0's journal alone, so a journaled
-// multi-process computation keeps none for the other machines.
-TEST(WriteJournal, ComputationJournalsMachineZeroOnly) {
-  ftx::RunSpec spec;
-  spec.workload = "treadmarks";
-  spec.scale = 2;
-  spec.seed = 29;
-  spec.store = ftx::StoreKind::kDisk;
-  spec.mode = ftx_dc::RuntimeMode::kRecoverable;
-  spec.tweak_options = [](ftx::ComputationOptions* o) { o->journal_disk_writes = true; };
-  std::unique_ptr<ftx::Computation> computation = ftx::BuildComputation(spec);
-  ASSERT_TRUE(computation->Run().all_done);
-
-  ASSERT_GT(computation->num_processes(), 1);
-  ASSERT_NE(computation->write_journal(0), nullptr);
-  EXPECT_FALSE(computation->write_journal(0)->ops().empty());
-  for (int p = 1; p < computation->num_processes(); ++p) {
-    EXPECT_NE(computation->redo_log(p), nullptr) << "pid " << p;
-    EXPECT_EQ(computation->write_journal(p), nullptr) << "pid " << p;
-  }
-}
-
 TEST(WriteJournal, MaterializeAppliesPrefixInOrder) {
   WriteJournal journal;
   ftx::Bytes first(kSectorBytes, 0x11);
@@ -123,24 +100,20 @@ TEST(WriteJournal, ByteHorizonKeepsEveryOpAndOnlyEarlyRecordBytes) {
     full_log.AttachJournal(&full);
     capped_log.AttachJournal(&capped);
     capped_log.KeepPayloadsBelow(kHorizon);
-    ftx_store::BatchPolicy policy;
-    policy.max_records = max_records;
-    ftx_store::CommitPipeline full_pipeline(&full_log, policy);
-    ftx_store::CommitPipeline capped_pipeline(&capped_log, policy);
 
+    // Windows of max_records records (the last one shorter), appended to
+    // both logs.
     ftx::Rng rng(11);
+    std::vector<RedoRecord> window;
     for (int i = 0; i < kRecords; ++i) {
       now_ns += 1000;
-      RedoRecord record = MakeRecord(&rng, 1 + i % 3, 1024);
-      const bool window_full = full_pipeline.Stage(record);
-      ASSERT_EQ(capped_pipeline.Stage(std::move(record)), window_full);
-      if (window_full) {
-        const int64_t billed = full_pipeline.Flush();
-        EXPECT_EQ(capped_pipeline.Flush(), billed);
+      window.push_back(MakeRecord(&rng, 1 + i % 3, 1024));
+      if (static_cast<int64_t>(window.size()) == max_records || i + 1 == kRecords) {
+        const int64_t billed = full_log.AppendBatch(window);
+        EXPECT_EQ(capped_log.AppendBatch(std::move(window)), billed);
+        window.clear();
       }
     }
-    const int64_t billed = full_pipeline.Flush();
-    EXPECT_EQ(capped_pipeline.Flush(), billed);
 
     ASSERT_EQ(capped_log.records().size(), full_log.records().size());
     for (size_t i = 0; i < full_log.records().size(); ++i) {
@@ -529,8 +502,9 @@ void RunRecoveryWithTamper(const std::function<void(RedoRecord*)>& tamper) {
   spec.store = ftx::StoreKind::kDisk;
   spec.mode = ftx_dc::RuntimeMode::kRecoverable;
   // Journaled, so the copied chain still holds every record's pages.
-  spec.tweak_options = [](ftx::ComputationOptions* o) { o->journal_disk_writes = true; };
+  WriteJournal journal;
   std::unique_ptr<ftx::Computation> computation = ftx::BuildComputation(spec);
+  computation->redo_log(0)->AttachJournal(&journal);
 
   const ftx::TimePoint kill_at = ftx::TimePoint() + ftx::Seconds(1.0);
   computation->ScheduleStopFailure(0, kill_at, ftx::Milliseconds(50));
