@@ -51,7 +51,7 @@ constexpr FlagSpec kBenchFlags[] = {
      }},
     {"--prof", "PATH", "write a collapsed-stack host-time profile (FlameGraph format)",
      [](BenchOptions* options, const char* value) { options->prof_path = value; }},
-    {"--batch", "N", "DC-disk group-commit window (records per sync; <= 1 = one record per window)",
+    {"--batch", "N", "DC-disk group-commit window (records per sync; 0 or 1 = one record per window)",
      [](BenchOptions* options, const char* value) {
        options->batch = ftx::ParseIntegerFlag<int64_t>("--batch", value);
      }},

@@ -53,13 +53,14 @@ namespace ftx_bench {
 //   --prof PATH    write a collapsed-stack host-time profile of the run
 //                  (ftx::prof; FlameGraph / speedscope compatible)
 //   --batch N      group-commit window size for DC-disk runs (records per
-//                  sync window; <= 1 = one record per window)
+//                  sync window; 0 or 1 = one record per window)
 //   --shards N     partitioned event-engine shard count for benches that
 //                  build fleet-scale computations (results byte-identical
 //                  for every value; 0 = the bench's own choice)
 //   --log-level L  error|warning|info|debug (default warning)
 // Unknown flags, missing values, and bad --log-level names print the usage
-// table and exit 2.
+// table and exit 2. A numeric value that is not a whole non-negative
+// integer fitting its field exits 2 naming the flag and the value.
 struct BenchOptions {
   bool full_scale = false;
   int scale_override = 0;
@@ -71,7 +72,7 @@ struct BenchOptions {
   bool audit = false;
   int repeat = 1;          // wall-clock repetitions (clamped to >= 1)
   std::string prof_path;   // collapsed-stack profile output; empty = prof off
-  int64_t batch = 0;      // group-commit window size; <= 1 = one record per window
+  int64_t batch = 0;      // group-commit window size; 0 or 1 = one record per window
   int shards = 0;         // event-engine shards; 0 = the bench's own choice
   std::string log_level;  // as given; applied via ftx::SetLogLevel at parse
 };

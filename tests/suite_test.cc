@@ -86,12 +86,23 @@ TEST(BenchUsageDeathTest, NumericFlagsRefuseAnythingButAWholeInteger) {
   EXPECT_EXIT(parse("--batch", ""), testing::ExitedWithCode(2), "invalid value for --batch: ''");
   EXPECT_EXIT(parse("--shards", "99999999999"), testing::ExitedWithCode(2),
               "invalid value for --shards: '99999999999'");
-  // A negative --batch is still a window of one record.
-  const char* argv[] = {"bench", "--batch", "-1", "--seed", "18446744073709551615"};
+  EXPECT_EXIT(parse("--jobs", "2147483648"), testing::ExitedWithCode(2),
+              "invalid value for --jobs: '2147483648'");
+  // No numeric flag takes a negative value, not even one whose field is
+  // signed.
+  for (const char* flag : {"--scale", "--jobs", "--repeat", "--batch", "--shards"}) {
+    EXPECT_EXIT(parse(flag, "-3"), testing::ExitedWithCode(2),
+                std::string("invalid value for ") + flag + ": '-3'");
+  }
+  // 0 keeps its documented meaning, and every field takes its largest value.
+  const char* argv[] = {"bench",  "--batch", "0", "--jobs", "0", "--scale", "2147483647",
+                        "--seed", "18446744073709551615"};
   ftx_bench::BenchOptions options =
       ftx_bench::ParseBenchOptions(static_cast<int>(std::size(argv)), const_cast<char**>(argv));
-  EXPECT_EQ(options.batch, -1);
+  EXPECT_EQ(options.batch, 0);
+  EXPECT_EQ(options.jobs, 0);
   EXPECT_EQ(options.seed, 18446744073709551615u);
+  EXPECT_EQ(options.scale_override, 2147483647);
 }
 
 TEST(LogLevelParse, AcceptsNamesAliasesAndDigits) {
