@@ -22,7 +22,7 @@
 //    for any shard count, and trial parallelism (--jobs) never enters a
 //    single computation, so the sampled series — and the exported JSONL —
 //    are byte-identical for any --jobs/--shards combination, provided no
-//    layout-dependent column (per-shard event counts, cross-shard traffic)
+//    layout-dependent column (shard count, cross-shard traffic)
 //    is registered.
 //  * Probes only read state. The hook costs one null check when no tsdb is
 //    installed and never schedules simulator work, charges simulated time,
