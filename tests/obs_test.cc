@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/fleet.h"
+#include "src/apps/workloads.h"
 #include "src/common/crc32.h"
 #include "src/core/computation.h"
 #include "src/core/experiment.h"
@@ -626,6 +628,80 @@ TEST(ObsIntegrationTest, SnapshotOrderPinnedPastTenProcesses) {
   EXPECT_EQ(snapshot.Find("p10.dc.rollbacks")->counter, 1);
   const std::string text = snapshot.ToJson().Dump();
   EXPECT_EQ(ftx::Crc32(text.data(), text.size()), 0x46cfac2eu);
+}
+
+// CRC-32 of each observer's output after one run with every observer on.
+struct ObserverCrcs {
+  uint32_t audit = 0;
+  uint32_t critical_path = 0;
+  uint32_t timeseries = 0;
+  uint32_t chrome_trace = 0;
+  uint32_t metrics = 0;
+};
+
+ObserverCrcs RunWithEveryObserver(ftx::ComputationOptions options,
+                                  std::vector<std::unique_ptr<ftx_dc::App>> apps,
+                                  const std::function<void(ftx::Computation&)>& prepare) {
+  options.audit = true;
+  options.critical_path = true;
+  options.timeseries = true;
+  options.timeseries_options.cadence_ns = 100000;  // 100 us of simulated time
+  ftx::Computation computation(std::move(options), std::move(apps));
+  computation.tracer().SetEnabled(true);
+  prepare(computation);
+  EXPECT_TRUE(computation.Run().all_done);
+  EXPECT_TRUE(computation.critical_path()->Extract().found);
+  auto crc = [](const std::string& text) { return ftx::Crc32(text.data(), text.size()); };
+  return ObserverCrcs{
+      .audit = crc(computation.audit()->ToJson().Dump()),
+      .critical_path = crc(computation.critical_path()->ToJson().Dump()),
+      .timeseries = crc(computation.timeseries()->ToJsonl()),
+      .chrome_trace = crc(computation.tracer().ToChromeTrace().Dump()),
+      .metrics = crc(computation.metrics().Snapshot().ToJson().Dump()),
+  };
+}
+
+TEST(ObsIntegrationTest, ObserverOutputsPinned) {
+  // Every observer's output, byte for byte, on two runs with the audit, the
+  // critical path, the tsdb and the tracer on: a cpv-2pc fleet on Rio with
+  // one server stop-failed (2PC rounds, a recovery, tainted messages), and
+  // nvi on the volatile store through an OS crash (the restart path).
+  ftx_apps::FleetConfig config;
+  config.num_servers = 2;
+  config.num_clients = 6;
+  config.requests_per_client = 3;
+  ftx::ComputationOptions fleet;
+  fleet.seed = 5;
+  fleet.protocol = "cpv-2pc";
+  fleet.store = ftx::StoreKind::kRio;
+  fleet.recovery_delay = ftx::Microseconds(100);
+  const ObserverCrcs fleet_crcs =
+      RunWithEveryObserver(fleet, ftx_apps::MakeFleetApps(config), [](ftx::Computation& c) {
+        c.ScheduleStopFailure(1, ftx::TimePoint() + ftx::Microseconds(300),
+                              ftx::Microseconds(100));
+      });
+  EXPECT_EQ(fleet_crcs.audit, 0xf0f79474u);
+  EXPECT_EQ(fleet_crcs.critical_path, 0x417db958u);
+  EXPECT_EQ(fleet_crcs.timeseries, 0x69606bd9u);
+  EXPECT_EQ(fleet_crcs.chrome_trace, 0xd6972d40u);
+  EXPECT_EQ(fleet_crcs.metrics, 0xcb810e3bu);
+
+  ftx_apps::WorkloadSetup nvi =
+      ftx_apps::MakeWorkload("nvi", /*scale=*/30, /*seed=*/3, /*interactive=*/false);
+  ftx::ComputationOptions volatile_store;
+  volatile_store.seed = 3;
+  volatile_store.protocol = "cand";
+  volatile_store.store = ftx::StoreKind::kVolatileMemory;
+  const ObserverCrcs nvi_crcs =
+      RunWithEveryObserver(volatile_store, std::move(nvi.apps), [&nvi](ftx::Computation& c) {
+        c.SetInputScript(0, nvi.scripts[0]);
+        c.ScheduleOsStopFailure(ftx::TimePoint() + ftx::Milliseconds(2), ftx::Milliseconds(1));
+      });
+  EXPECT_EQ(nvi_crcs.audit, 0xcfe72bffu);
+  EXPECT_EQ(nvi_crcs.critical_path, 0xe63931eau);
+  EXPECT_EQ(nvi_crcs.timeseries, 0xab644519u);
+  EXPECT_EQ(nvi_crcs.chrome_trace, 0x60297c83u);
+  EXPECT_EQ(nvi_crcs.metrics, 0xd9bc582bu);
 }
 
 TEST(ObsIntegrationTest, CrashedProcessLeavesCommitAndRecoverySpans) {
