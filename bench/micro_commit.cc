@@ -301,8 +301,8 @@ void BM_TraceAppend2pc(benchmark::State& state) {
   std::unique_ptr<ftx_sm::Trace> trace;
   auto fresh = [&]() {
     trace.reset();
-    tracker = std::make_unique<ftx_causal::CriticalPathTracker>(kProcesses);
-    tracker->SetTimeSource([&now_ns]() { return now_ns; });
+    tracker = std::make_unique<ftx_causal::CriticalPathTracker>(
+        kProcesses, [&now_ns]() { return now_ns; });
     tracker->OnCrash(0);
     trace = std::make_unique<ftx_sm::Trace>(kProcesses, lean);
     trace->SetAppendObserver([&tracker](ftx_sm::EventRef ref, const ftx_sm::TraceEvent& ev,

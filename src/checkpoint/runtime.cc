@@ -96,7 +96,6 @@ void Runtime::BindMetrics() {
                           [this]() { return stats_.fault_activations; });
   r->RegisterCounterProbe(pid_, "dc.ndlog_flushes", [this]() { return stats_.ndlog_flushes; });
   commit_hist_ = r->GetHistogram("dc.commit_ns");
-  recovery_hist_ = r->GetHistogram("dc.recovery_ns");
 }
 
 void Runtime::SetInputScript(std::vector<ftx::Bytes> script) {
@@ -152,9 +151,6 @@ StepOutcome Runtime::RunStep(ftx::Duration* cost_out) {
 }
 
 void Runtime::Kill() {
-  if (env_.tracer != nullptr) {
-    env_.tracer->Instant(pid_, ftx_obs::TraceLane::kRecovery, "fault", "stop-failure", Now());
-  }
   staged_.clear();
   alive_ = false;
 }
@@ -288,7 +284,8 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
     // visitor hands page spans straight to record serialization — the only
     // copy is the one the persist itself requires. The serialize phase
     // includes the incremental CRC AppendPage computes over each page.
-    ftx_store::RedoRecord& record = staged.record;
+    staged.record = std::make_unique<ftx_store::RedoRecord>();
+    ftx_store::RedoRecord& record = *staged.record;
     {
       FTX_PROF_SCOPE("commit.serialize_crc");
       // The record lands after the ones already staged in the open window.
@@ -369,7 +366,7 @@ ftx::Duration Runtime::FlushCommitWindow(ftx::Duration uncharged) {
     std::vector<ftx_store::RedoRecord> batch;
     batch.reserve(staged_.size());
     for (StagedCommit& staged : staged_) {
-      batch.push_back(std::move(staged.record));
+      batch.push_back(std::move(*staged.record));
     }
     env_.redo_log->AppendBatch(std::move(batch));
   }
@@ -467,7 +464,7 @@ ftx::Duration Runtime::Recover() {
   // The breakdown mirrors the charges below, bucket by bucket; every
   // nanosecond added to `cost` lands in exactly one bucket so the phases
   // tile the returned latency.
-  last_recovery_ = RecoveryBreakdown{};
+  last_recovery_ = ftx_causal::RecoveryPhases{};
   last_recovery_.log_scan_ns = costs_.recovery_fixed.nanos();
 
   if (env_.redo_log != nullptr) {
@@ -574,18 +571,8 @@ ftx::Duration Runtime::Recover() {
   cost += step_cost_;
   last_recovery_.rebuild_ns = step_cost_.nanos();
   step_cost_ = saved_step_cost;
-  last_recovery_.total_ns = cost.nanos();
 
   stats_.recovery_time += cost;
-  if (recovery_hist_ != nullptr) {
-    recovery_hist_->Observe(cost.nanos());
-  }
-  if (env_.tracer != nullptr) {
-    env_.tracer->Span(pid_, ftx_obs::TraceLane::kRecovery, "dc", "recover", Now(), Now() + cost);
-  }
-  if (env_.audit != nullptr) {
-    env_.audit->OnRecovery(pid_, "recover", cost.nanos());
-  }
   FTX_LOG(kInfo, "p%d recovered to step %lld (cost %s)", pid_,
           static_cast<long long>(step_count_), cost.ToString().c_str());
   return cost;
@@ -617,19 +604,9 @@ ftx::Duration Runtime::RestartFromScratch() {
   }
   Initialize();
   ftx::Duration cost = costs_.recovery_fixed;
-  last_recovery_ = RecoveryBreakdown{};
+  last_recovery_ = ftx_causal::RecoveryPhases{};
   last_recovery_.log_scan_ns = cost.nanos();
-  last_recovery_.total_ns = cost.nanos();
   stats_.recovery_time += cost;
-  if (recovery_hist_ != nullptr) {
-    recovery_hist_->Observe(cost.nanos());
-  }
-  if (env_.tracer != nullptr) {
-    env_.tracer->Span(pid_, ftx_obs::TraceLane::kRecovery, "dc", "restart", Now(), Now() + cost);
-  }
-  if (env_.audit != nullptr) {
-    env_.audit->OnRecovery(pid_, "restart", cost.nanos());
-  }
   FTX_LOG(kInfo, "p%d restarted from scratch (all committed work lost)", pid_);
   return cost;
 }
@@ -749,6 +726,9 @@ void Runtime::Send(int dst, ftx::Bytes payload) {
   Charge(costs_.syscall_service);
   if (dst >= 0 && dst < 64) {
     communicated_mask_ |= 1ULL << dst;
+  }
+  if (env_.audit != nullptr) {
+    env_.audit->OnMessage(static_cast<int64_t>(payload.size()));
   }
   int64_t message_id = env_.network->Send(pid_, dst, std::move(payload));
   PostEvent(ftx_proto::AppEvent::kSend, d, message_id, false, "send");

@@ -19,6 +19,11 @@
 // consults the process's Save-work protocol for commit/log decisions,
 // appends the event to the computation-wide trace, and charges simulated
 // time. It also implements rollback + reexecution for failures.
+//
+// Observers hear from the runtime, through its Environment pointers, about
+// what it performs itself: steps, commits, protocol decisions, message
+// sends, crash events and ND-log flushes. Stop failures and recoveries are
+// reported by the Computation, which schedules them.
 
 #ifndef FTX_SRC_CHECKPOINT_RUNTIME_H_
 #define FTX_SRC_CHECKPOINT_RUNTIME_H_
@@ -30,6 +35,7 @@
 #include <vector>
 
 #include "src/checkpoint/app.h"
+#include "src/obs/causal/critical_path.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_event.h"
 #include "src/protocol/protocol.h"
@@ -70,21 +76,6 @@ struct RuntimeCosts {
 enum class RuntimeMode {
   kBaseline,     // no interception, no commits: the unrecoverable version
   kRecoverable,  // full Discount Checking
-};
-
-// Per-phase decomposition of the most recent Recover()/RestartFromScratch()
-// on this runtime, in simulated nanoseconds, as actually charged — the sum
-// of the phases equals the returned recovery cost exactly (no estimates).
-// The critical-path tracker (src/obs/causal/critical_path.h) consumes this
-// to attribute the binding recovery's time to a phase; the struct lives
-// here, not in obs/, so the checkpoint layer stays observer-free.
-struct RecoveryBreakdown {
-  int64_t log_scan_ns = 0;       // fixed rollback cost + per-record rotation waits
-  int64_t page_install_ns = 0;   // redo payload transfer back into the segment
-  int64_t undo_rollback_ns = 0;  // Rio per-page undo of uncommitted state
-  int64_t rebuild_ns = 0;        // application OnRecovered recomputation
-  int64_t records = 0;           // redo records read (DC-disk; released ones too) or 0
-  int64_t total_ns = 0;          // == the Duration Recover() returned
 };
 
 struct RuntimeStats {
@@ -154,7 +145,10 @@ class Runtime : public ProcessEnv {
   // the segment's undo log restores state; for DC-disk the segment is
   // rebuilt from the records of the redo chain that still hold pages,
   // while the charge covers reading every record. Kernel state is
-  // reconstructed by syscall replay. Returns the simulated recovery latency.
+  // reconstructed by syscall replay. Returns the simulated recovery latency
+  // and leaves its phases in last_recovery(). The caller reports the
+  // recovery to the observers; Kill, Recover and RestartFromScratch report
+  // to none.
   ftx::Duration Recover();
 
   // Total loss of committed state (an OS crash with a volatile store): the
@@ -184,7 +178,7 @@ class Runtime : public ProcessEnv {
   bool done() const { return done_; }
   const RuntimeStats& stats() const { return stats_; }
   // Phase decomposition of the most recent recovery (zeroed until one runs).
-  const RecoveryBreakdown& last_recovery() const { return last_recovery_; }
+  const ftx_causal::RecoveryPhases& last_recovery() const { return last_recovery_; }
   ftx_proto::Protocol& protocol() { return *protocol_; }
   App& app() { return *app_; }
 
@@ -244,7 +238,9 @@ class Runtime : public ProcessEnv {
   // One commit in the open window, not yet persisted: its DC-disk redo
   // record, and what the runtime still owes the observers — audit cost
   // breakdown, kCommit trace event, histogram sample, tracer span — once
-  // the window's sync lands.
+  // the window's sync lands. The record is held by pointer so that a Rio
+  // commit, which stages none, carries one null pointer instead of an empty
+  // record.
   struct StagedCommit {
     bool coordinated = false;
     int64_t atomic_group = -1;
@@ -256,7 +252,7 @@ class Runtime : public ProcessEnv {
                                  // under the persist of earlier records
     ftx::Duration reprotect_cost;
     ftx::TimePoint begin;  // simulated stage instant (reported interval start)
-    ftx_store::RedoRecord record;  // DC-disk only; a Rio commit stages none
+    std::unique_ptr<ftx_store::RedoRecord> record;  // DC-disk only; null on Rio
   };
 
   // Auxiliary (non-segment) state that must travel with commits.
@@ -321,7 +317,8 @@ class Runtime : public ProcessEnv {
 
   // Registers one per-process probe over each stats_ field (read as
   // "p<pid>.dc.*" and "p<pid>.faults.activations") and gets the shared
-  // histograms below. Called from the constructor when env_.metrics is set.
+  // commit histogram below. Called from the constructor when env_.metrics is
+  // set.
   void BindMetrics();
 
   int pid_;
@@ -363,13 +360,12 @@ class Runtime : public ProcessEnv {
   ftx::Duration pending_overhead_;  // costs charged outside a step (2PC)
 
   RuntimeStats stats_;
-  RecoveryBreakdown last_recovery_;
+  ftx_causal::RecoveryPhases last_recovery_;
 
-  // Computation-wide histograms ("dc.commit_ns" / "dc.recovery_ns"), shared
-  // across processes via the registry's get-or-create semantics; null when
-  // no registry is attached.
+  // The computation-wide "dc.commit_ns" histogram, shared across processes
+  // via the registry's get-or-create semantics; null when no registry is
+  // attached.
   ftx_obs::Histogram* commit_hist_ = nullptr;
-  ftx_obs::Histogram* recovery_hist_ = nullptr;
 };
 
 }  // namespace ftx_dc

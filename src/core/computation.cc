@@ -7,6 +7,12 @@
 #include "src/common/log.h"
 
 namespace ftx {
+namespace {
+
+// Runaway guard: a computation that executes more simulated events aborts.
+constexpr int64_t kMaxSimEvents = 200000000;
+
+}  // namespace
 
 Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr<ftx_dc::App>> apps)
     : options_(std::move(options)), apps_(std::move(apps)) {
@@ -17,30 +23,26 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
   // every shard count; the default (1) is exactly the monolithic engine.
   sim_ = std::make_unique<ftx_sim::Simulator>(options_.seed,
                                               ftx_sim::ShardPlan::Uniform(n, options_.shards));
-  network_ = std::make_unique<ftx_sim::Network>(sim_.get(), n, options_.network);
-  kernel_ = std::make_unique<ftx_sim::KernelSim>(sim_.get(), n, options_.kernel_limits);
+  network_ = std::make_unique<ftx_sim::Network>(sim_.get(), n);
+  kernel_ = std::make_unique<ftx_sim::KernelSim>(sim_.get(), n);
   // The audit needs full vector clocks, so it overrides lean_trace.
   ftx_sm::TraceOptions trace_options;
   trace_options.record_clocks = !options_.lean_trace || options_.audit;
   trace_ = std::make_unique<ftx_sm::Trace>(n, trace_options);
 
-  tracer_.SetEnabled(options_.enable_tracing || !options_.trace_path.empty());
+  tracer_.SetEnabled(!options_.trace_path.empty());
   sim_->BindMetrics(&metrics_);
   network_->BindMetrics(&metrics_);
   kernel_->BindMetrics(&metrics_);
+  recovery_hist_ = metrics_.GetHistogram("dc.recovery_ns");
 
+  auto sim_now_ns = [this]() { return sim_->Now().nanos(); };
   if (options_.audit && options_.mode == ftx_dc::RuntimeMode::kRecoverable) {
-    audit_ = std::make_unique<ftx_causal::CausalAudit>(n, options_.audit_options);
-    audit_->SetTimeSource([this]() { return sim_->Now().nanos(); });
-    audit_->SetTracer(&tracer_);
-    network_->SetMessageObserver([this](int64_t id, int src, int dst, int64_t bytes) {
-      audit_->OnMessage(id, src, dst, bytes);
-    });
+    audit_ = std::make_unique<ftx_causal::CausalAudit>(n, sim_now_ns, &tracer_,
+                                                       options_.audit_options);
   }
   if (options_.critical_path && options_.mode == ftx_dc::RuntimeMode::kRecoverable) {
-    critical_path_ =
-        std::make_unique<ftx_causal::CriticalPathTracker>(n, options_.critical_path_options);
-    critical_path_->SetTimeSource([this]() { return sim_->Now().nanos(); });
+    critical_path_ = std::make_unique<ftx_causal::CriticalPathTracker>(n, sim_now_ns);
   }
   // The trace exposes a single append-observer slot; the audit and the
   // critical-path tracker share it through one forwarding closure.
@@ -98,8 +100,6 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
       }
       return static_cast<double>(down);
     });
-    sim_->SetEventHook(
-        [this](int shard, TimePoint t) { (void)shard; tsdb_->OnSimTime(t.nanos()); });
   }
 
   blocked_.assign(static_cast<size_t>(n), false);
@@ -361,7 +361,7 @@ void Computation::CoordinatedCommit(int initiator, ftx_proto::CoordinationScope 
   if (!participants.empty()) {
     // Prepare + ack message latencies, overlapped across participants, plus
     // the slowest participant's commit.
-    round += options_.network.base_latency * 2;
+    round += network_->TransitTime(0) * 2;
     round += max_participant_commit;
   }
   round += init_rt.CommitNow(/*coordinated=*/false, atomic_group);
@@ -375,20 +375,21 @@ void Computation::CoordinatedCommit(int initiator, ftx_proto::CoordinationScope 
   }
 }
 
-void Computation::NoteRecovery(int pid, Duration cost) {
-  if (critical_path_ == nullptr) {
-    return;
-  }
-  const ftx_dc::RecoveryBreakdown& br = runtimes_[static_cast<size_t>(pid)]->last_recovery();
-  ftx_causal::RecoveryPhases phases;
-  phases.log_scan_ns = br.log_scan_ns;
-  phases.page_install_ns = br.page_install_ns;
-  phases.undo_rollback_ns = br.undo_rollback_ns;
-  phases.rebuild_ns = br.rebuild_ns;
+void Computation::NoteRecovery(int pid, Duration cost, bool from_scratch) {
   // Recover()/RestartFromScratch() ran at the current instant and charged
   // `cost` forward; the gap back to the crash is detection latency, which
-  // the tracker derives itself.
-  critical_path_->OnRecovery(pid, sim_->Now().nanos(), (sim_->Now() + cost).nanos(), phases);
+  // the critical-path tracker derives itself.
+  const TimePoint begin = sim_->Now();
+  const char* what = from_scratch ? "restart" : "recover";
+  recovery_hist_->Observe(cost.nanos());
+  tracer_.Span(pid, ftx_obs::TraceLane::kRecovery, "dc", what, begin, begin + cost);
+  if (audit_ != nullptr) {
+    audit_->OnRecovery(pid, what, cost.nanos());
+  }
+  if (critical_path_ != nullptr) {
+    critical_path_->OnRecovery(pid, begin.nanos(), (begin + cost).nanos(),
+                               runtimes_[static_cast<size_t>(pid)]->last_recovery());
+  }
 }
 
 void Computation::ScheduleRecovery(int pid, Duration delay, bool from_scratch) {
@@ -398,7 +399,7 @@ void Computation::ScheduleRecovery(int pid, Duration delay, bool from_scratch) {
       return;  // already recovered by someone else
     }
     Duration cost = from_scratch ? failed.RestartFromScratch() : failed.Recover();
-    NoteRecovery(pid, cost);
+    NoteRecovery(pid, cost, from_scratch);
     SchedulePump(pid, cost);
   });
 }
@@ -416,9 +417,10 @@ void Computation::ScheduleStop(int pid, TimePoint at, Duration recovery_delay,
       FTX_LOG(kInfo, "stop failure: p%d at %s", pid, sim_->Now().ToString().c_str());
     }
     rt.Kill();
+    // Stop failures never append a kCrash trace event (the process simply
+    // goes silent), so the observers are told here.
+    tracer_.Instant(pid, ftx_obs::TraceLane::kRecovery, "fault", "stop-failure", sim_->Now());
     if (critical_path_ != nullptr) {
-      // Stop failures never append a kCrash trace event (the process simply
-      // goes silent), so the tracker is told directly.
       critical_path_->OnCrash(pid);
     }
     ++pump_token_[static_cast<size_t>(pid)];  // cancel any scheduled pump
@@ -457,9 +459,13 @@ ComputationResult Computation::Run() {
     if (sim_->Now() > deadline) {
       break;
     }
+    if (tsdb_ != nullptr) {
+      // Until the next event runs, the state is the state at every cadence
+      // boundary before its time: sample those boundaries now.
+      tsdb_->OnSimTime(sim_->NextEventTime().nanos());
+    }
     sim_->RunOne();
-    FTX_CHECK_MSG(++executed <= options_.max_sim_events,
-                  "computation exceeded simulated event limit");
+    FTX_CHECK_MSG(++executed <= kMaxSimEvents, "computation exceeded simulated event limit");
   }
 
   if (audit_ != nullptr) {

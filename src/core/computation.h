@@ -6,6 +6,14 @@
 // commit the CPV-2PC/CBNDV-2PC protocols request, injects stop failures, and
 // recovers failed processes.
 //
+// It also owns every observer (metrics registry, tracer, causal audit,
+// critical-path tracker, tsdb), and each observer hears an event from the
+// code that performs it: executed events through the trace's one append
+// observer, commits and protocol internals through the runtimes'
+// Environment pointers, and the event loop, stop failures and recoveries
+// from the Computation itself. The simulator and the network know no
+// observer.
+//
 // This is the library's primary public entry point; see also
 // src/core/experiment.h for the one-call experiment wrappers the benches
 // and examples use.
@@ -51,8 +59,6 @@ struct ComputationOptions {
   StoreKind store = StoreKind::kRio;
   ftx_dc::RuntimeMode mode = ftx_dc::RuntimeMode::kRecoverable;
   ftx_dc::RuntimeCosts costs;
-  ftx_sim::NetworkOptions network;
-  ftx_sim::KernelLimits kernel_limits;
   // DC-disk only: the modeled disk of every machine (bench/ablation_cost_model
   // sweeps its seek time).
   ftx_store::DiskParameters disk;
@@ -82,13 +88,12 @@ struct ComputationOptions {
   // A process that keeps crashing after this many recoveries is declared
   // unrecoverable (the fault study's "failed recovery" outcome).
   int max_recovery_attempts = 3;
-  // Run limits (simulated).
+  // Run limit (simulated).
   Duration max_sim_time = Seconds(7200);
-  int64_t max_sim_events = 200000000;
   // Simulated-timeline tracing (steps, commits, 2PC rounds, crashes,
-  // recoveries). When trace_path is non-empty, Run() additionally writes a
-  // Chrome trace_event JSON file there (open in Perfetto / chrome://tracing).
-  bool enable_tracing = false;
+  // recoveries). A non-empty trace_path enables the tracer, and Run() writes
+  // a Chrome trace_event JSON file there (open in Perfetto /
+  // chrome://tracing). Callers may also enable tracer() before Run().
   std::string trace_path;
   // Live causal audit (src/obs/causal/): vector-clock event ledger, online
   // Save-work verification, crash flight recorder, per-commit cost
@@ -99,10 +104,11 @@ struct ComputationOptions {
   bool audit = false;
   ftx_causal::CausalAuditOptions audit_options;
   // Simulated-time telemetry (src/obs/tsdb/): sample every registered
-  // counter/gauge series on a fixed sim-time cadence, driven by the
-  // simulator's pre-event hook. Strictly observational (the hook only reads
-  // state), so simulated quantities are byte-identical with it on or off,
-  // and the sampled series itself is byte-identical for any shards value.
+  // counter/gauge series on a fixed sim-time cadence; Run() hands the tsdb
+  // the next event's time before executing it. Strictly observational (the
+  // samples only read state), so simulated quantities are byte-identical
+  // with it on or off, and the sampled series itself is byte-identical for
+  // any shards value.
   // Enabled by `timeseries` or by a non-empty timeseries_path (the JSONL
   // export Run() writes there).
   bool timeseries = false;
@@ -113,7 +119,6 @@ struct ComputationOptions {
   // dependent commit. Observer-only (same neutrality contract as the
   // audit); works with lean traces. Recoverable mode only.
   bool critical_path = false;
-  ftx_causal::CriticalPathOptions critical_path_options;
   // Test hook: when set, used instead of MakeProtocolByName(protocol) to
   // build each process's protocol (e.g. from a deliberately broken
   // commit-too-little rule the audit must flag). Called once per process.
@@ -194,16 +199,18 @@ class Computation {
  private:
   void Pump(int pid);
   void SchedulePump(int pid, Duration delay);
-  // Forwards a completed recovery (its simulated interval plus the
-  // runtime's per-phase charge) to the critical-path tracker. No-op when
-  // the tracker is off.
-  void NoteRecovery(int pid, Duration cost);
+  // The one report of a completed recovery or restart, which began now and
+  // took `cost`: the "dc.recovery_ns" histogram sample, the tracer's span,
+  // the audit note and the critical-path tracker's phases.
+  void NoteRecovery(int pid, Duration cost, bool from_scratch);
   // After `delay`, if `pid` is still down, brings it back from its last
   // commit (or, with `from_scratch`, from its initial state), notes the
-  // recovery and resumes pumping it.
+  // recovery and resumes pumping it. The only caller of Runtime::Recover
+  // and Runtime::RestartFromScratch.
   void ScheduleRecovery(int pid, Duration delay, bool from_scratch);
-  // At `at`, stops `pid` unless it is already down or done, and schedules
-  // its recovery `recovery_delay` later.
+  // At `at`, stops `pid` unless it is already down or done, reports the
+  // stop failure (tracer instant, critical-path crash) and schedules its
+  // recovery `recovery_delay` later.
   void ScheduleStop(int pid, TimePoint at, Duration recovery_delay, bool from_scratch);
   void WakeIfBlocked(int pid);
   void CoordinatedCommit(int initiator, ftx_proto::CoordinationScope scope);
@@ -216,6 +223,7 @@ class Computation {
   // snapshot is taken, so member destruction order is not a hazard.
   ftx_obs::Registry metrics_;
   ftx_obs::Tracer tracer_;
+  ftx_obs::Histogram* recovery_hist_ = nullptr;  // "dc.recovery_ns"
 
   std::unique_ptr<ftx_sim::Simulator> sim_;
   std::unique_ptr<ftx_sim::Network> network_;

@@ -12,18 +12,14 @@ namespace ftx {
 std::unique_ptr<Computation> BuildComputation(const RunSpec& spec) {
   int scale = spec.scale > 0 ? spec.scale
                              : ftx_apps::DefaultScale(spec.workload, /*full_scale=*/false);
-  ftx_apps::WorkloadSetup setup =
-      ftx_apps::MakeWorkload(spec.workload, scale, spec.seed, spec.interactive);
+  ftx_apps::WorkloadSetup setup = ftx_apps::MakeWorkload(spec.workload, scale, spec.seed);
 
   ComputationOptions options;
   options.seed = spec.seed;
   options.protocol = spec.protocol;
   options.store = spec.store;
   options.mode = spec.mode;
-  if (!spec.trace_path.empty()) {
-    options.enable_tracing = true;
-    options.trace_path = spec.trace_path;
-  }
+  options.trace_path = spec.trace_path;
   options.timeseries_path = spec.timeseries_path;
   options.audit = spec.audit;
   if (spec.tweak_options) {

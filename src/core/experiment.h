@@ -20,7 +20,6 @@ struct RunSpec {
   std::string workload = "nvi";
   int scale = 0;  // 0 = DefaultScale(workload, /*full_scale=*/false)
   uint64_t seed = 1;
-  bool interactive = true;
   std::string protocol = "cpvs";
   StoreKind store = StoreKind::kRio;
   ftx_dc::RuntimeMode mode = ftx_dc::RuntimeMode::kRecoverable;

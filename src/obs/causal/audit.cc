@@ -12,25 +12,29 @@ namespace {
 // ND->commit flow ids live in their own range, disjoint from network
 // message ids (small integers) and 2PC coordination ids (>= 1e15).
 constexpr int64_t kNdFlowIdBase = 2000000000000000LL;
+// Flight dumps retained; later incidents only count.
+constexpr int kMaxIncidents = 8;
+// Findings listed in the report; the rest only count.
+constexpr size_t kMaxFindingsInReport = 16;
+// ND->commit flow arrows drawn per process per commit window (extras are
+// counted, not drawn — a log-nothing protocol would flood the trace).
+constexpr size_t kMaxPendingNdFlows = 32;
 
 }  // namespace
 
-CausalAudit::CausalAudit(int num_processes, CausalAuditOptions options)
-    : options_(options),
-      num_processes_(num_processes),
+CausalAudit::CausalAudit(int num_processes, std::function<int64_t()> now_ns,
+                         ftx_obs::Tracer* tracer, CausalAuditOptions options)
+    : num_processes_(num_processes),
+      now_ns_(std::move(now_ns)),
+      tracer_(tracer),
       ledger_(options.flight_capacity),
       auditor_(num_processes),
-      flight_(&ledger_, options.max_incidents) {
+      flight_(&ledger_, kMaxIncidents) {
   FTX_CHECK_GT(num_processes, 0);
+  FTX_CHECK(now_ns_ != nullptr);
   decisions_.resize(static_cast<size_t>(num_processes));
   pending_nd_flows_.resize(static_cast<size_t>(num_processes));
 }
-
-void CausalAudit::SetTimeSource(std::function<int64_t()> now_ns) {
-  now_ns_ = std::move(now_ns);
-}
-
-void CausalAudit::SetTracer(ftx_obs::Tracer* tracer) { tracer_ = tracer; }
 
 void CausalAudit::StageCommitCosts(int pid, const CommitCosts& costs) {
   staged_costs_ = std::make_pair(pid, costs);
@@ -39,7 +43,7 @@ void CausalAudit::StageCommitCosts(int pid, const CommitCosts& costs) {
 void CausalAudit::OnTraceEvent(ftx_sm::EventRef ref, const ftx_sm::TraceEvent& ev,
                                const ftx_sm::VectorClock& clock) {
   FTX_CHECK_MSG(!finalized_, "trace event after CausalAudit::Finalize");
-  const int64_t now = now_ns_ ? now_ns_() : 0;
+  const int64_t now = now_ns_();
   const ftx::TimePoint at(now);
   const int pid = ref.process;
 
@@ -87,7 +91,7 @@ void CausalAudit::OnTraceEvent(ftx_sm::EventRef ref, const ftx_sm::TraceEvent& e
   auto& pending_flows = pending_nd_flows_[static_cast<size_t>(pid)];
   if (ftx_sm::IsNonDeterministic(ev.kind) && !ev.logged) {
     if (tracing) {
-      if (static_cast<int>(pending_flows.size()) < options_.max_pending_nd_flows) {
+      if (pending_flows.size() < kMaxPendingNdFlows) {
         const int64_t flow_id = kNdFlowIdBase + seq;
         tracer_->FlowStart(pid, ftx_obs::TraceLane::kStep, "causal", "nd->commit", at, flow_id);
         pending_flows.push_back(flow_id);
@@ -133,9 +137,9 @@ void CausalAudit::OnProtocolDecision(int pid, ftx_proto::AppEvent event,
   tally.flush_log_before += decision.flush_log_before ? 1 : 0;
 }
 
-void CausalAudit::OnMessage(int64_t message_id, int src, int dst, int64_t bytes) {
-  messages_[message_id] = MessageInfo{src, dst, bytes};
-  message_bytes_ += bytes;
+void CausalAudit::OnMessage(int64_t payload_bytes) {
+  ++messages_;
+  message_bytes_ += payload_bytes;
 }
 
 void CausalAudit::OnRecovery(int pid, const char* what, int64_t cost_ns) {
@@ -143,7 +147,7 @@ void CausalAudit::OnRecovery(int pid, const char* what, int64_t cost_ns) {
   entry.note = true;
   entry.label = std::string(what) + " p" + std::to_string(pid) +
                 " cost=" + std::to_string(cost_ns) + "ns";
-  entry.sim_time_ns = now_ns_ ? now_ns_() : 0;
+  entry.sim_time_ns = now_ns_();
   ledger_.Append(std::move(entry));
 }
 
@@ -180,8 +184,7 @@ ftx_obs::Json CausalAudit::ToJson() const {
 
   ftx_obs::Json findings = ftx_obs::Json::Array();
   const auto& all = auditor_.findings();
-  const auto reported =
-      std::min<size_t>(all.size(), static_cast<size_t>(options_.max_findings_in_report));
+  const size_t reported = std::min(all.size(), kMaxFindingsInReport);
   for (size_t i = 0; i < reported; ++i) {
     const SaveWorkFinding& f = all[i];
     ftx_obs::Json item = ftx_obs::Json::Object();
@@ -225,7 +228,7 @@ ftx_obs::Json CausalAudit::ToJson() const {
   decisions.Set("flush_log_before", ftx_obs::Json(total.flush_log_before));
   out.Set("decisions", std::move(decisions));
 
-  out.Set("messages", ftx_obs::Json(static_cast<int64_t>(messages_.size())));
+  out.Set("messages", ftx_obs::Json(messages_));
   out.Set("message_bytes", ftx_obs::Json(message_bytes_));
 
   ftx_obs::Json ledger = ftx_obs::Json::Object();

@@ -6,14 +6,20 @@
 //
 //   * CausalLedger — every trace event (ND, visible, send/receive, commit,
 //     crash) mirrored into a bounded vector-clock-stamped ring, via the
-//     Trace::Append observer the Computation installs, plus recovery notes
-//     and per-commit cost attribution staged by the runtime;
+//     Trace::Append observer the Computation installs, plus the recovery
+//     notes the Computation reports and the per-commit cost attribution the
+//     runtime stages;
 //   * SaveWorkAuditor — the online Save-work/Save-work-orphan check,
 //     cross-checking the protocol's actual commit decisions against the
 //     causal frontier as the run executes;
 //   * FlightRecorder — incident dumps (crash injection, abandoned
 //     recovery, every Save-work finding) of the ring with the causal chain
 //     marked.
+//
+// Each event reaches the audit from the code that performs it: the trace's
+// append observer, the runtime (protocol decisions, commit costs, message
+// sizes) and the Computation (recoveries, abandoned recoveries). Its clock
+// and tracer are fixed at construction.
 //
 // It also exports causal structure to the Chrome/Perfetto tracer when one
 // is recording: send->receive flow arrows (id = message id), ND->commit
@@ -32,9 +38,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/causal/auditor.h"
@@ -49,11 +55,6 @@ namespace ftx_causal {
 
 struct CausalAuditOptions {
   int flight_capacity = 256;  // ledger ring size (events per dump)
-  int max_incidents = 8;      // retained flight dumps
-  int max_findings_in_report = 16;
-  // ND->commit flow arrows drawn per process per commit window (extras are
-  // counted, not drawn — a log-nothing protocol would flood the trace).
-  int max_pending_nd_flows = 32;
 };
 
 // The ftx.causal-audit report schema version (nested under bench rows as
@@ -62,14 +63,11 @@ inline constexpr int kCausalAuditSchemaVersion = 1;
 
 class CausalAudit {
  public:
-  CausalAudit(int num_processes, CausalAuditOptions options = {});
-
-  // Simulated-time source (the Computation's simulator clock), consulted at
-  // every ledger append. Must be set before events flow.
-  void SetTimeSource(std::function<int64_t()> now_ns);
-  // Optional Perfetto export target; flows/counters are emitted only while
-  // the tracer itself is enabled.
-  void SetTracer(ftx_obs::Tracer* tracer);
+  // `now_ns` is the simulated clock (the Computation's simulator), read at
+  // every ledger append. `tracer` is the Perfetto export target; flows and
+  // counters are emitted only while it is enabled.
+  CausalAudit(int num_processes, std::function<int64_t()> now_ns, ftx_obs::Tracer* tracer,
+              CausalAuditOptions options = {});
 
   // The Trace::Append observer body (the Computation installs the
   // forwarding closure).
@@ -85,10 +83,12 @@ class CausalAudit {
   void OnProtocolDecision(int pid, ftx_proto::AppEvent event,
                           const ftx_proto::CommitDecision& decision);
 
-  // Message metadata from the network (sizes for dumps and report totals).
-  void OnMessage(int64_t message_id, int src, int dst, int64_t bytes);
+  // One message sent, with its payload size (Runtime::Send reports each;
+  // the report's message totals).
+  void OnMessage(int64_t payload_bytes);
 
-  // Recovery / restart completion annotations (ledger notes).
+  // Recovery / restart completion annotations (ledger notes; the
+  // Computation reports each recovery it schedules).
   void OnRecovery(int pid, const char* what, int64_t cost_ns);
 
   // External incident (the Computation reports abandoned recoveries; the
@@ -120,23 +120,17 @@ class CausalAudit {
     int64_t log_event = 0;
     int64_t flush_log_before = 0;
   };
-  struct MessageInfo {
-    int src = -1;
-    int dst = -1;
-    int64_t bytes = 0;
-  };
 
-  CausalAuditOptions options_;
   int num_processes_;
   std::function<int64_t()> now_ns_;
-  ftx_obs::Tracer* tracer_ = nullptr;
+  ftx_obs::Tracer* tracer_;
 
   CausalLedger ledger_;
   SaveWorkAuditor auditor_;
   FlightRecorder flight_;
 
   std::vector<DecisionTally> decisions_;
-  std::map<int64_t, MessageInfo> messages_;
+  int64_t messages_ = 0;
   int64_t message_bytes_ = 0;
 
   // Per-process ND flow ids awaiting their covering commit.

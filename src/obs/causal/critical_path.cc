@@ -19,15 +19,12 @@ constexpr const char* kMessage = "message";
 
 }  // namespace
 
-CriticalPathTracker::CriticalPathTracker(int num_processes, CriticalPathOptions options)
-    : options_(options), num_processes_(num_processes) {
+CriticalPathTracker::CriticalPathTracker(int num_processes, std::function<int64_t()> now_ns)
+    : num_processes_(num_processes), now_ns_(std::move(now_ns)) {
   FTX_CHECK_GT(num_processes, 0);
+  FTX_CHECK(now_ns_ != nullptr);
   taint_.resize(static_cast<size_t>(num_processes));
   recoveries_.resize(static_cast<size_t>(num_processes));
-}
-
-void CriticalPathTracker::SetTimeSource(std::function<int64_t()> now_ns) {
-  now_ns_ = std::move(now_ns);
 }
 
 void CriticalPathTracker::TaintProcess(int pid, const Taint& taint) {
@@ -40,7 +37,6 @@ void CriticalPathTracker::TaintProcess(int pid, const Taint& taint) {
 }
 
 void CriticalPathTracker::OnCrash(int pid) {
-  FTX_CHECK_MSG(now_ns_ != nullptr, "critical-path tracker has no time source");
   if (pid < 0 || pid >= num_processes_) {
     return;
   }
@@ -53,7 +49,6 @@ void CriticalPathTracker::OnCrash(int pid) {
 
 void CriticalPathTracker::OnTraceEvent(ftx_sm::EventRef ref, const ftx_sm::TraceEvent& ev) {
   (void)ref;
-  FTX_CHECK_MSG(now_ns_ != nullptr, "critical-path tracker has no time source");
   const int pid = static_cast<int>(ev.process);
   if (pid < 0 || pid >= num_processes_) {
     return;
@@ -226,8 +221,8 @@ CriticalPathTracker::Path CriticalPathTracker::Extract() const {
       path.binding_phase = h.phase;
     }
   }
-  if (static_cast<int>(reversed.size()) > options_.max_hops_in_report) {
-    reversed.resize(static_cast<size_t>(options_.max_hops_in_report));
+  if (static_cast<int>(reversed.size()) > kMaxHopsInReport) {
+    reversed.resize(static_cast<size_t>(kMaxHopsInReport));
   }
   path.hops = std::move(reversed);
   return path;

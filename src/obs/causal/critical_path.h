@@ -7,8 +7,8 @@
 // process / which recovery phase on that chain is the one to optimize?
 //
 // The tracker observes the same Trace::Append stream as the causal audit
-// (chained observer; works in lean-trace mode since it never reads vector
-// clocks) and propagates *taint* online:
+// (the Computation's one append observer feeds both; works in lean-trace
+// mode since it never reads vector clocks) and propagates *taint* online:
 //
 //   * a crash taints its process from the crash instant;
 //   * a send by a tainted process taints the message (send time recorded);
@@ -39,10 +39,11 @@
 //                  outgoing send/commit
 //   message        tainted send -> receive network latency
 //
-// The per-recovery phase splits come from Runtime::RecoveryBreakdown — the
-// actual simulated nanoseconds the runtime charged, not estimates. The
-// largest single span names the binding process and phase: the fleet-level
-// MTTR bottleneck no aggregate layer can see.
+// The Computation reports stop failures (OnCrash) and every recovery it
+// schedules (OnRecovery). The per-recovery phase splits are the runtime's
+// RecoveryPhases — the actual simulated nanoseconds it charged, not
+// estimates. The largest single span names the binding process and phase:
+// the fleet-level MTTR bottleneck no aggregate layer can see.
 //
 // Like every observer in src/obs/, the tracker is strictly read-only: it
 // never charges simulated time or schedules simulator work, so simulated
@@ -69,30 +70,29 @@ namespace ftx_causal {
 // "critical_path"; scripts/check_bench_json.py validates it).
 inline constexpr int kCriticalPathSchemaVersion = 1;
 
-// Simulated nanoseconds a completed recovery spent per phase, as charged by
-// the runtime (Runtime fills one of these per Recover call).
+// Hops listed in a report; longer paths report totals and the first hops.
+inline constexpr int kMaxHopsInReport = 64;
+
+// Simulated nanoseconds one Recover()/RestartFromScratch() charged per
+// phase (Runtime::last_recovery()). The phases tile the returned recovery
+// cost exactly: total_ns() equals it.
 struct RecoveryPhases {
-  int64_t log_scan_ns = 0;       // fixed cost + rotation waits reading the log
-  int64_t page_install_ns = 0;   // record/page payload transfer
+  int64_t log_scan_ns = 0;       // fixed rollback cost + per-record rotation waits
+  int64_t page_install_ns = 0;   // redo payload transfer back into the segment
   int64_t undo_rollback_ns = 0;  // Rio per-page undo of uncommitted state
-  int64_t rebuild_ns = 0;        // application OnRecovered step
+  int64_t rebuild_ns = 0;        // application OnRecovered recomputation
+  int64_t records = 0;           // redo records read (DC-disk; released ones too) or 0
   int64_t total_ns() const {
     return log_scan_ns + page_install_ns + undo_rollback_ns + rebuild_ns;
   }
 };
 
-struct CriticalPathOptions {
-  int max_hops_in_report = 64;  // longer paths report totals + a truncated list
-};
-
 class CriticalPathTracker {
  public:
-  explicit CriticalPathTracker(int num_processes, CriticalPathOptions options = {});
-
-  // Simulated-time source (the Computation's simulator clock), consulted
+  // `now_ns` is the simulated clock (the Computation's simulator), read
   // only for events that record a time: crashes, tainted sends, tainted
-  // receives and tainted commits. Must be set before events flow.
-  void SetTimeSource(std::function<int64_t()> now_ns);
+  // receives and tainted commits.
+  CriticalPathTracker(int num_processes, std::function<int64_t()> now_ns);
 
   // The Trace::Append observer body. The clock argument of the observer is
   // ignored (taint needs only message pairing), so lean traces work.
@@ -132,7 +132,7 @@ class CriticalPathTracker {
     // Phase totals over the whole path (keys are the phase names).
     std::map<std::string, int64_t> totals_ns;
     std::vector<Hop> hops;         // root crash -> last commit, in time order
-    int64_t hops_total = 0;        // before truncation to max_hops_in_report
+    int64_t hops_total = 0;        // before truncation to kMaxHopsInReport
   };
 
   // Walks the taint edges backward from the last tainted commit. Pure
@@ -167,7 +167,6 @@ class CriticalPathTracker {
 
   void TaintProcess(int pid, const Taint& taint);
 
-  CriticalPathOptions options_;
   int num_processes_;
   std::function<int64_t()> now_ns_;
   std::vector<Taint> taint_;                  // per pid

@@ -10,24 +10,24 @@
 //
 // Determinism contract (the property every test battery pins):
 //
-//  * Sampling is keyed to SIMULATED time only. The engine is driven by the
-//    simulator's pre-event hook (Simulator::SetEventHook): before an event
-//    at time t executes, every cadence boundary B < t that has not been
-//    sampled yet is emitted with the CURRENT state — which at that moment
-//    is exactly the state after all events at time <= B, because no event
-//    in (prev_event_time, t) exists. A sample at boundary B therefore
-//    means "state after every event at or before B", a pure function of
-//    the event sequence.
+//  * Sampling is keyed to SIMULATED time only. Computation::Run drives the
+//    engine: before it executes each event, it passes the event's time t
+//    (Simulator::NextEventTime) to OnSimTime, and every cadence boundary
+//    B < t that has not been sampled yet is emitted with the CURRENT
+//    state — which at that moment is exactly the state after all events at
+//    time <= B, because no event in (prev_event_time, t) exists. A sample
+//    at boundary B therefore means "state after every event at or before
+//    B", a pure function of the event sequence.
 //  * The simulator's merge front replays the identical global event order
 //    for any shard count, and trial parallelism (--jobs) never enters a
 //    single computation, so the sampled series — and the exported JSONL —
 //    are byte-identical for any --jobs/--shards combination, provided no
 //    layout-dependent column (shard count, cross-shard traffic)
 //    is registered.
-//  * Probes only read state. The hook costs one null check when no tsdb is
-//    installed and never schedules simulator work, charges simulated time,
-//    or perturbs the RNG: all simulated quantities are byte-identical with
-//    telemetry on or off (CTest-asserted).
+//  * Probes only read state. Sampling costs one null check per event when
+//    no tsdb is installed and never schedules simulator work, charges
+//    simulated time, or perturbs the RNG: all simulated quantities are
+//    byte-identical with telemetry on or off (CTest-asserted).
 //
 // Export: JSON Lines. Line 1 is a header object carrying the schema name,
 // cadence, column table (name + kind, ordered by MetricNameLess so the
@@ -88,9 +88,9 @@ class TimeSeriesDb {
   // export across those.
   void SetMeta(std::string key, Json value);
 
-  // --- sampling (driven by the simulator hook) ---
+  // --- sampling (driven by Computation::Run) ---
 
-  // Pre-event hook body: the next event will execute at `next_event_ns`.
+  // The next event will execute at `next_event_ns`.
   // Emits one sample for every unsampled cadence boundary B < next_event_ns
   // (the current state is exactly the state as of each such B). The first
   // call seals the column set.

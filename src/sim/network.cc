@@ -28,9 +28,6 @@ int64_t Network::Send(int src, int dst, ftx::Bytes payload) {
   msg.dst = dst;
   msg.sent_at = sim_->Now();
   total_bytes_ += static_cast<int64_t>(payload.size());
-  if (message_observer_) {
-    message_observer_(msg.id, src, dst, static_cast<int64_t>(payload.size()));
-  }
   msg.payload = std::move(payload);
 
   ftx::Duration latency = TransitTime(msg.payload.size());

@@ -10,6 +10,9 @@
 // the receiver commits (ReleaseAllDelivered). On rollback, the receiver
 // requeues its retained messages (RequeueRetained) so reexecution receives
 // them again, in order.
+//
+// The network reports to no observer. Runtime::Send, the one caller outside
+// tests, tells the causal audit about each message it sends.
 
 #ifndef FTX_SRC_SIM_NETWORK_H_
 #define FTX_SRC_SIM_NETWORK_H_
@@ -83,11 +86,6 @@ class Network {
   // receivers to wake up. One callback per process.
   void SetArrivalCallback(int dst, std::function<void()> callback);
 
-  // Invoked at Send time with (id, src, dst, payload bytes). Observational
-  // only (the causal audit's send ledger); never affects delivery.
-  using MessageObserver = std::function<void(int64_t, int, int, int64_t)>;
-  void SetMessageObserver(MessageObserver observer) { message_observer_ = std::move(observer); }
-
   // Time a message of `bytes` payload takes in transit (without jitter).
   ftx::Duration TransitTime(size_t bytes) const;
 
@@ -111,7 +109,6 @@ class Network {
   std::vector<std::deque<Message>> inbox_;
   std::vector<std::deque<Message>> recovery_buffer_;
   std::vector<std::function<void()>> arrival_callback_;
-  MessageObserver message_observer_;
 };
 
 }  // namespace ftx_sim

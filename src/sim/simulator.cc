@@ -77,16 +77,18 @@ int Simulator::FrontShard() const {
   return best;
 }
 
+ftx::TimePoint Simulator::NextEventTime() const {
+  const int front = FrontShard();
+  FTX_CHECK_MSG(front >= 0, "NextEventTime with no pending event");
+  return shards_[static_cast<size_t>(front)].queue.top().time;
+}
+
 bool Simulator::RunOne() {
   const int front = FrontShard();
   if (front < 0) {
     return false;
   }
   Shard& shard = shards_[static_cast<size_t>(front)];
-  if (event_hook_) {
-    // Observation point: state after all earlier events, before this one.
-    event_hook_(front, shard.queue.top().time);
-  }
   // priority_queue::top is const; the callback is moved out via const_cast,
   // which is safe because the element is popped immediately after.
   auto& top = const_cast<Scheduled&>(shard.queue.top());
@@ -103,9 +105,7 @@ bool Simulator::RunOne() {
 }
 
 void Simulator::RunUntil(ftx::TimePoint deadline) {
-  for (int front = FrontShard();
-       front >= 0 && shards_[static_cast<size_t>(front)].queue.top().time <= deadline;
-       front = FrontShard()) {
+  while (HasPending() && NextEventTime() <= deadline) {
     RunOne();
   }
 }

@@ -29,6 +29,13 @@ using ftx_store::kLogStartOffset;
 using ftx_store::kSectorBytes;
 using ftx_store::RedoRecord;
 
+// Torn-final-sector variants generated per sector-write prefix (each picks
+// a seeded cut point; half stop-early, half trailing-garbage).
+constexpr int kTornVariants = 2;
+// Reorder variants generated per prefix whose unsynced epoch holds more
+// than one in-flight sector write (each applies a seeded strict subset).
+constexpr int kReorderVariants = 2;
+
 // One enumerated crash state. `gen_k` is the op index the state was
 // generated at; `base` is the op prefix fully applied before any variant
 // bytes (for kPrefix it equals gen_k, for kTorn* it is gen_k - 1, for
@@ -66,12 +73,13 @@ const char* KindName(CrashState::Kind kind) {
   return "?";
 }
 
-// Derives the reorder subsets sampled at op index k: seeded strict subsets
-// of the sector writes in [epoch_begin, k), sorted. Both the enumeration
-// and the check phases call this, so the subsets never need storing.
+// Derives the kReorderVariants subsets sampled at op index k: seeded strict
+// subsets of the sector writes in [epoch_begin, k), sorted. Both the
+// enumeration and the check phases call this, so the subsets never need
+// storing.
 std::vector<std::vector<size_t>> DeriveReorderSubsets(const std::vector<DiskOp>& ops,
                                                       uint64_t seed, size_t k,
-                                                      size_t epoch_begin, int variants) {
+                                                      size_t epoch_begin) {
   std::vector<size_t> epoch;
   for (size_t i = epoch_begin; i < k; ++i) {
     if (ops[i].kind == DiskOpKind::kSectorWrite) {
@@ -83,7 +91,7 @@ std::vector<std::vector<size_t>> DeriveReorderSubsets(const std::vector<DiskOp>&
     return subsets;
   }
   ftx::Rng reorder_rng = ftx::Rng(ftx::DeriveTrialSeed(seed, static_cast<uint64_t>(k))).Fork(2);
-  for (int v = 0; v < variants; ++v) {
+  for (int v = 0; v < kReorderVariants; ++v) {
     std::vector<size_t> chosen = epoch;
     reorder_rng.Shuffle(&chosen);
     const size_t keep =
@@ -702,7 +710,7 @@ std::set<int64_t> CheckCrashStates(
 
       ftx::Rng torn_rng =
           ftx::Rng(ftx::DeriveTrialSeed(spec.seed, static_cast<uint64_t>(k))).Fork(1);
-      for (int v = 0; v < spec.torn_variants; ++v) {
+      for (int v = 0; v < kTornVariants; ++v) {
         CrashState torn;
         torn.kind = v % 2 == 0 ? CrashState::Kind::kTorn : CrashState::Kind::kTornJunk;
         torn.gen_k = k;
@@ -718,7 +726,7 @@ std::set<int64_t> CheckCrashStates(
       // [epoch_begin, k)'s writes plus this one); a crash exposes any
       // subset of them, so sample strict, non-trivial subsets.
       if (epoch_writes >= 2) {
-        for (int v = 0; v < spec.reorder_variants; ++v) {
+        for (int v = 0; v < kReorderVariants; ++v) {
           CrashState reorder;
           reorder.kind = CrashState::Kind::kReorder;
           reorder.gen_k = k;
@@ -834,8 +842,7 @@ std::set<int64_t> CheckCrashStates(
               break;
             case CrashState::Kind::kReorder:
               if (subsets_k != state.gen_k) {
-                subsets = DeriveReorderSubsets(ops, spec.seed, state.gen_k, state.base,
-                                               spec.reorder_variants);
+                subsets = DeriveReorderSubsets(ops, spec.seed, state.gen_k, state.base);
                 subsets_k = state.gen_k;
               }
               subset = &subsets[static_cast<size_t>(state.reorder_variant)];
@@ -932,7 +939,6 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
   base.workload = spec.workload;
   base.scale = report.scale;
   base.seed = spec.seed;
-  base.interactive = spec.interactive;
   base.protocol = spec.protocol;
   base.store = ftx::StoreKind::kDisk;
   base.tweak_options = apply_batch;

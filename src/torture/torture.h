@@ -60,13 +60,6 @@ struct TortureSpec {
   int scale = 0;  // 0 = ftx_apps::DefaultScale(workload, /*full_scale=*/false)
   uint64_t seed = 1;
   std::string protocol = "cpvs";
-  bool interactive = true;
-  // Torn-final-sector variants generated per sector-write prefix (each
-  // picks a seeded cut point; half stop-early, half trailing-garbage).
-  int torn_variants = 2;
-  // Reorder variants generated per prefix whose unsynced epoch holds more
-  // than one in-flight sector write (each applies a seeded strict subset).
-  int reorder_variants = 2;
   // Caps exploration to the ops of the first N commit windows (0 = every
   // window). Smoke mode uses this to bound depth; --full leaves it at 0.
   int max_commit_windows = 0;

@@ -231,7 +231,7 @@ TEST(Integration, RedoLogReleaseLeavesRecoveryUnchanged) {
 
   struct Observed {
     ftx::RunOutput out;
-    ftx_dc::RecoveryBreakdown recovery;
+    ftx_causal::RecoveryPhases recovery;
     uint32_t segment_checksum = 0;  // just after Recover
     int64_t released = 0;           // records released when Recover ran
   };
@@ -273,7 +273,7 @@ TEST(Integration, RedoLogReleaseLeavesRecoveryUnchanged) {
   EXPECT_EQ(full.recovery.undo_rollback_ns, released.recovery.undo_rollback_ns);
   EXPECT_EQ(full.recovery.rebuild_ns, released.recovery.rebuild_ns);
   EXPECT_EQ(full.recovery.records, released.recovery.records);
-  EXPECT_EQ(full.recovery.total_ns, released.recovery.total_ns);
+  EXPECT_EQ(full.recovery.total_ns(), released.recovery.total_ns());
 
   const ftx::ComputationResult& a = full.out.result;
   const ftx::ComputationResult& b = released.out.result;

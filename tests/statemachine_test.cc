@@ -643,10 +643,9 @@ TEST(CriticalPathPairing, TaintedSendsInBothIdRangesAreCountedExactly) {
   // pairing map holds both. p0 crashes, then sends in both ranges: each is
   // a tainted send. p1 stays clean: its sends are not recorded.
   constexpr int64_t kCoordBase = 1000000000000000;
-  ftx_causal::CriticalPathTracker tracker(3);
   int64_t now = 0;
   int time_reads = 0;
-  tracker.SetTimeSource([&now, &time_reads]() {
+  ftx_causal::CriticalPathTracker tracker(3, [&now, &time_reads]() {
     ++time_reads;
     return now;
   });

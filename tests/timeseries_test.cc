@@ -142,9 +142,8 @@ TEST(TimeSeriesDbDeathTest, RegistrationAfterSealAborts) {
 // --- critical path: synthetic taint chains ---
 
 TEST(CriticalPath, NoCrashMeansNoPath) {
-  CriticalPathTracker tracker(2);
   int64_t now = 0;
-  tracker.SetTimeSource([&now]() { return now; });
+  CriticalPathTracker tracker(2, [&now]() { return now; });
   now = 50;
   tracker.OnTraceEvent(EventRef{0, 0}, TraceEvent{.process = 0, .kind = EventKind::kCommit});
   auto path = tracker.Extract();
@@ -153,9 +152,8 @@ TEST(CriticalPath, NoCrashMeansNoPath) {
 }
 
 TEST(CriticalPath, TaintPropagatesThroughMessageToLastDependentCommit) {
-  CriticalPathTracker tracker(3);
   int64_t now = 0;
-  tracker.SetTimeSource([&now]() { return now; });
+  CriticalPathTracker tracker(3, [&now]() { return now; });
 
   // p2 commits before the crash: untainted, must not end the path.
   now = 40;
@@ -223,9 +221,8 @@ TEST(CriticalPath, TaintPropagatesThroughMessageToLastDependentCommit) {
 }
 
 TEST(CriticalPath, PropagationCrashEventCountsExactlyOnce) {
-  CriticalPathTracker tracker(2);
   int64_t now = 0;
-  tracker.SetTimeSource([&now]() { return now; });
+  CriticalPathTracker tracker(2, [&now]() { return now; });
   now = 10;
   tracker.OnTraceEvent(EventRef{0, 0}, TraceEvent{.process = 0, .kind = EventKind::kCrash});
   now = 90;
@@ -242,9 +239,8 @@ TEST(CriticalPath, PropagationCrashEventCountsExactlyOnce) {
 }
 
 TEST(CriticalPath, FirstTaintWins) {
-  CriticalPathTracker tracker(2);
   int64_t now = 0;
-  tracker.SetTimeSource([&now]() { return now; });
+  CriticalPathTracker tracker(2, [&now]() { return now; });
   now = 100;
   tracker.OnCrash(1);
   now = 200;
