@@ -43,7 +43,6 @@ RunOutput Collect(Computation& computation, const ComputationResult& result) {
   output.elapsed = result.end_time - TimePoint();
   output.metrics = computation.metrics().Snapshot();
   if (computation.audit() != nullptr) {
-    computation.audit()->Finalize();  // idempotent (Run already finalized)
     output.audited = true;
     output.audit_violations = computation.audit()->violations();
     output.audit_report = computation.audit()->ToJson();

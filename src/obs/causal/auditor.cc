@@ -3,9 +3,15 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/obs/causal/ledger.h"
 
 namespace ftx_causal {
+
+std::string RefToString(const ftx_sm::EventRef& ref) {
+  if (!ref.valid()) {
+    return "-";
+  }
+  return "p" + std::to_string(ref.process) + "#" + std::to_string(ref.index);
+}
 
 std::string SaveWorkFinding::ToString() const {
   std::string out = "uncovered ";

@@ -48,6 +48,10 @@
 
 namespace ftx_causal {
 
+// "p<pid>#<index>" (or "-" for an invalid ref) — the notation the offline
+// checker's diagnostics use.
+std::string RefToString(const ftx_sm::EventRef& ref);
+
 struct SaveWorkFinding {
   ftx_sm::EventRef nd;
   ftx_sm::EventKind nd_kind = ftx_sm::EventKind::kInternal;

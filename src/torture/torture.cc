@@ -972,10 +972,9 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
   report.num_processes = traced->num_processes();
   ftx_causal::CausalAudit* audit = traced->audit();
   if (audit != nullptr) {
-    audit->Finalize();  // idempotent (Run already finalized)
     report.audited = true;
     report.audit_violations = audit->violations();
-    report.audit_events = audit->ledger().total_appended();
+    report.audit_events = audit->total_appended();
   }
   // Records a flight dump of the traced run's causal tail for a torture
   // violation found in a later (offline) phase. Called only from the
@@ -985,10 +984,10 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
     if (audit == nullptr) {
       return;
     }
-    const size_t retained_before = audit->flight().incidents().size();
+    const size_t retained_before = audit->incidents().size();
     audit->RecordIncident("torture violation: " + diagnostic, std::nullopt);
     ++report.audit_incidents;
-    const auto& incidents = audit->flight().incidents();
+    const auto& incidents = audit->incidents();
     if (incidents.size() > retained_before && report.audit_incident_dumps.size() < 5) {
       report.audit_incident_dumps.push_back(incidents.back().dump);
     }
