@@ -212,32 +212,6 @@ bool Registry::HasProcessProbe(int pid, std::string_view name) const {
   return column < probes.size() && probes[column] != nullptr;
 }
 
-Counter* Registry::GetCounter(const std::string& name) {
-  auto it = entries_.find(name);
-  if (it != entries_.end()) {
-    FTX_CHECK_MSG(it->second.kind == MetricValue::Kind::kCounter && it->second.counter != nullptr,
-                  "metric %s already registered with a different kind/backing", name.c_str());
-    return it->second.counter;
-  }
-  Entry& entry = NewEntry(name);
-  entry.kind = MetricValue::Kind::kCounter;
-  entry.counter = &counters_.emplace_back();
-  return entry.counter;
-}
-
-Gauge* Registry::GetGauge(const std::string& name) {
-  auto it = entries_.find(name);
-  if (it != entries_.end()) {
-    FTX_CHECK_MSG(it->second.kind == MetricValue::Kind::kGauge && it->second.gauge != nullptr,
-                  "metric %s already registered with a different kind/backing", name.c_str());
-    return it->second.gauge;
-  }
-  Entry& entry = NewEntry(name);
-  entry.kind = MetricValue::Kind::kGauge;
-  entry.gauge = &gauges_.emplace_back();
-  return entry.gauge;
-}
-
 Histogram* Registry::GetHistogram(const std::string& name, std::vector<int64_t> bounds) {
   auto it = entries_.find(name);
   if (it != entries_.end()) {
@@ -318,10 +292,10 @@ MetricsSnapshot Registry::Snapshot() const {
     value.kind = entry.kind;
     switch (entry.kind) {
       case MetricValue::Kind::kCounter:
-        value.counter = entry.counter != nullptr ? entry.counter->value() : entry.counter_probe();
+        value.counter = entry.counter_probe();
         break;
       case MetricValue::Kind::kGauge:
-        value.gauge = entry.gauge != nullptr ? entry.gauge->value() : entry.gauge_probe();
+        value.gauge = entry.gauge_probe();
         break;
       case MetricValue::Kind::kHistogram: {
         const Histogram& h = *entry.histogram;

@@ -5,10 +5,10 @@
 // exposed through one Registry per Computation instead of ad-hoc structs.
 // Two backing modes keep the hot paths free:
 //
-//  * owned instruments (Counter/Gauge/Histogram) allocated by the registry,
-//    incremented through stable pointers;
-//  * probe-backed instruments registered over existing state (a pointer or
-//    closure reading a struct field), so legacy accounting like
+//  * histograms allocated by the registry, observed through stable
+//    pointers;
+//  * counters and gauges are probes registered over existing state (a
+//    closure reading a struct field), so accounting like
 //    Runtime::RuntimeStats keeps its single source of truth and the
 //    registry view can never diverge from it.
 //
@@ -31,7 +31,7 @@
 // identical for any --jobs value.
 //
 // Ownership rule (the audited contract; see tests/parallel_test.cc for the
-// TSan-covered regression): a Registry, every instrument pointer handed out
+// TSan-covered regression): a Registry, every histogram pointer handed out
 // by it, and every probe closure registered with it are confined to one
 // trial — created, written, snapshotted, and destroyed on whichever pool
 // thread runs that trial's computation, with the pool's ParallelFor join
@@ -85,28 +85,6 @@ struct MetricNameLess {
     }
     return a.size() < b.size();
   }
-};
-
-// Monotonically increasing integer quantity.
-class Counter {
- public:
-  void Add(int64_t delta) { value_ += delta; }
-  void Increment() { ++value_; }
-  int64_t value() const { return value_; }
-
- private:
-  int64_t value_ = 0;
-};
-
-// Instantaneous level; may move in both directions.
-class Gauge {
- public:
-  void Set(double value) { value_ = value; }
-  void Add(double delta) { value_ += delta; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
 };
 
 // Distribution over fixed inclusive bucket upper bounds (in the observed
@@ -191,11 +169,9 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  // Owned instruments: get-or-create by name. Pointers remain valid for the
-  // registry's lifetime. Re-requesting a name returns the same instrument;
-  // requesting an existing name as a different kind aborts.
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
+  // Owned histogram: get-or-create by name. The pointer remains valid for
+  // the registry's lifetime. Re-requesting a name returns the same
+  // histogram; requesting a probe's name aborts.
   Histogram* GetHistogram(const std::string& name,
                           std::vector<int64_t> bounds = DefaultLatencyBoundsNs());
 
@@ -207,8 +183,8 @@ class Registry {
 
   // Per-process counter probe, read as ProcessMetricName(pid, name). Stored
   // under `name` in the pid's slot. A per-process name that is also a
-  // computation-wide one (a plain GetCounter("p0.dc.commits") next to
-  // RegisterCounterProbe(0, "dc.commits", ...)) aborts, whichever comes
+  // computation-wide one (RegisterCounterProbe("p0.dc.commits", ...) next
+  // to RegisterCounterProbe(0, "dc.commits", ...)) aborts, whichever comes
   // first.
   void RegisterCounterProbe(int pid, std::string_view name, std::function<int64_t()> probe);
 
@@ -224,9 +200,7 @@ class Registry {
  private:
   struct Entry {
     MetricValue::Kind kind = MetricValue::Kind::kCounter;
-    Counter* counter = nullptr;        // owned (counters_ element) or null
-    Gauge* gauge = nullptr;            // owned or null
-    Histogram* histogram = nullptr;    // owned or null
+    Histogram* histogram = nullptr;    // owned (histograms_ element) or null
     std::function<int64_t()> counter_probe;
     std::function<double()> gauge_probe;
   };
@@ -243,8 +217,6 @@ class Registry {
   // stable and diffable across runs. The comparator is the explicit ordinal
   // (locale-independent) one so the order is also stable across platforms.
   std::map<std::string, Entry, MetricNameLess> entries_;
-  std::deque<Counter> counters_;
-  std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
 
   // Per-process probes: process_names_[column] is a per-process name, in

@@ -99,13 +99,13 @@ TEST(Runtime2pc, CommunicationMaskDrivesCoordinatedCkptParticipants) {
 }
 
 TEST(Experiment, VerifyConsistentRecoveryReportsDiagnostics) {
-  // A run that cannot complete (failure with auto-recovery disabled) must
-  // come back as incomplete with a diagnostic, not crash the harness.
+  // A run that cannot complete (a stop failure whose recovery lies past the
+  // simulated time limit) must come back as incomplete with a diagnostic,
+  // not crash the harness.
   ftx::RunSpec spec;
   spec.workload = "postgres";
   spec.scale = 100;
   spec.tweak_options = [](ftx::ComputationOptions* options) {
-    options->auto_recover = false;
     options->max_sim_time = ftx::Seconds(2.0);
   };
   auto computation = ftx::BuildComputation(spec);

@@ -86,21 +86,6 @@ TEST(JsonTest, ParseRoundTripsNestedDocument) {
 })");
 }
 
-TEST(MetricsTest, CounterSemantics) {
-  ftx_obs::Counter c;
-  EXPECT_EQ(c.value(), 0);
-  c.Increment();
-  c.Add(41);
-  EXPECT_EQ(c.value(), 42);
-}
-
-TEST(MetricsTest, GaugeSemantics) {
-  ftx_obs::Gauge g;
-  g.Set(10.0);
-  g.Add(-2.5);
-  EXPECT_DOUBLE_EQ(g.value(), 7.5);
-}
-
 TEST(MetricsTest, HistogramBucketsAndStats) {
   ftx_obs::Histogram h({10, 100, 1000});
   EXPECT_EQ(h.count(), 0);
@@ -173,12 +158,12 @@ TEST(MetricsTest, SnapshotJsonCarriesQuantiles) {
 
 TEST(MetricsTest, RegistryGetOrCreateReturnsSameInstrument) {
   ftx_obs::Registry registry;
-  ftx_obs::Counter* a = registry.GetCounter("x.count");
-  ftx_obs::Counter* b = registry.GetCounter("x.count");
+  ftx_obs::Histogram* a = registry.GetHistogram("x.latency_ns");
+  ftx_obs::Histogram* b = registry.GetHistogram("x.latency_ns");
   EXPECT_EQ(a, b);
-  a->Increment();
-  EXPECT_EQ(registry.GetCounter("x.count")->value(), 1);
-  EXPECT_TRUE(registry.Contains("x.count"));
+  a->Observe(5);
+  EXPECT_EQ(registry.GetHistogram("x.latency_ns")->count(), 1);
+  EXPECT_TRUE(registry.Contains("x.latency_ns"));
   EXPECT_FALSE(registry.Contains("x.other"));
 }
 
@@ -193,9 +178,9 @@ TEST(MetricsTest, ProbesAreEvaluatedAtSnapshotTime) {
 
 TEST(MetricsTest, SnapshotTotalCounterAggregatesPerProcessNames) {
   ftx_obs::Registry registry;
-  registry.GetCounter("p0.dc.commits")->Add(3);
-  registry.GetCounter("p1.dc.commits")->Add(4);
-  registry.GetCounter("p1.dc.rollbacks")->Add(100);
+  registry.RegisterCounterProbe("p0.dc.commits", []() { return int64_t{3}; });
+  registry.RegisterCounterProbe("p1.dc.commits", []() { return int64_t{4}; });
+  registry.RegisterCounterProbe("p1.dc.rollbacks", []() { return int64_t{100}; });
   EXPECT_EQ(registry.Snapshot().TotalCounter("dc.commits"), 7);
 }
 
@@ -210,8 +195,8 @@ TEST(MetricsTest, ProcessProbesReadAsPrefixedNamesInOrdinalOrder) {
   ftx_obs::Registry spelled;
   for (const char* name : {"dc.commit_ns", "kernel.syscalls", "p", "p.x", "p01.x", "p5x.y",
                            "pa.z", "probe.count", "sim.now_s"}) {
-    per_process.GetCounter(name)->Add(1);
-    spelled.GetCounter(name)->Add(1);
+    per_process.RegisterCounterProbe(name, []() { return int64_t{1}; });
+    spelled.RegisterCounterProbe(name, []() { return int64_t{1}; });
   }
   const std::vector<std::string> names = {"redo.records", "dc.commits", "faults.activations",
                                           "dc.commit_ns", "disk.sync_writes"};
@@ -260,20 +245,20 @@ TEST(MetricsDeathTest, ProcessNameSpelledComputationWideAborts) {
       {
         ftx_obs::Registry registry;
         registry.RegisterCounterProbe(0, "dc.commits", []() { return int64_t{1}; });
-        registry.GetCounter("p0.dc.commits");
+        registry.RegisterCounterProbe("p0.dc.commits", []() { return int64_t{2}; });
       },
       "p0.dc.commits is already registered as a per-process probe");
   EXPECT_DEATH(
       {
         ftx_obs::Registry registry;
-        registry.GetCounter("p0.dc.commits");
+        registry.RegisterCounterProbe("p0.dc.commits", []() { return int64_t{2}; });
         registry.RegisterCounterProbe(0, "dc.commits", []() { return int64_t{1}; });
       },
       "p0.dc.commits is already registered computation-wide");
   // A spelled name of another pid or quantity is not a collision.
   ftx_obs::Registry registry;
-  registry.GetCounter("p1.dc.commits")->Add(4);
-  registry.GetCounter("p0.dc.rollbacks");
+  registry.RegisterCounterProbe("p1.dc.commits", []() { return int64_t{4}; });
+  registry.RegisterCounterProbe("p0.dc.rollbacks", []() { return int64_t{0}; });
   registry.RegisterCounterProbe(0, "dc.commits", []() { return int64_t{3}; });
   EXPECT_EQ(registry.Snapshot().TotalCounter("dc.commits"), 7);
 }
@@ -289,8 +274,8 @@ TEST(MetricsDeathTest, SnapshotJsonRefusesUnorderedEntries) {
 
 TEST(MetricsTest, SnapshotJsonRoundTrip) {
   ftx_obs::Registry registry;
-  registry.GetCounter("a.count")->Add(5);
-  registry.GetGauge("b.level")->Set(2.25);
+  registry.RegisterCounterProbe("a.count", []() { return int64_t{5}; });
+  registry.RegisterGaugeProbe("b.level", []() { return 2.25; });
   registry.GetHistogram("c.latency_ns", {100, 1000})->Observe(50);
   registry.GetHistogram("c.latency_ns")->Observe(700);
 
@@ -512,7 +497,7 @@ TEST(ResultsTest, EnvelopeShape) {
   results.AddRow(Json::Object().Set("workload", "nvi").Set("checkpoints", 12));
 
   ftx_obs::Registry registry;
-  registry.GetCounter("p0.dc.commits")->Add(12);
+  registry.RegisterCounterProbe("p0.dc.commits", []() { return int64_t{12}; });
   results.AttachMetricsToLastRow(registry.Snapshot());
 
   Json doc = results.ToJson();
