@@ -266,6 +266,7 @@ class Runtime : public ProcessEnv {
 
   // Protocol consultation before an event executes: performs any
   // commit-before (coordinated or local) and charges interception cost.
+  // Recoverable mode only, like PostEvent, AppendTraceEvent and DoCommit.
   ftx_proto::CommitDecision PreEvent(ftx_proto::AppEvent event);
 
   // Trace recording + commit-after, once the event's action is done.
