@@ -15,26 +15,19 @@ int32_t UndoLog::RecordBeforeImage(int64_t offset, const uint8_t* data, size_t s
   record.offset = offset;
   record.size = static_cast<int64_t>(size);
   const int64_t slot_size = static_cast<int64_t>(slot_size_);
-  if (size > 0 && offset / slot_size == (offset + record.size - 1) / slot_size) {
-    // Fits one slot-aligned window: pooled path, mirror layout.
-    if (free_slots_.empty()) {
-      FTX_CHECK_LT(slots_.size(), static_cast<size_t>(INT32_MAX));
-      free_slots_.push_back(static_cast<int32_t>(slots_.size()));
-      slots_.push_back(std::make_unique<uint8_t[]>(slot_size_));
-    }
-    record.slot = free_slots_.back();
-    free_slots_.pop_back();
-    std::memcpy(slots_[record.slot].get() + offset % slot_size, data, size);
-  } else {
-    if (odd_free_.empty()) {
-      FTX_CHECK_LT(odd_buffers_.size(), static_cast<size_t>(INT32_MAX));
-      odd_free_.push_back(static_cast<int32_t>(odd_buffers_.size()));
-      odd_buffers_.emplace_back();
-    }
-    record.odd_index = odd_free_.back();
-    odd_free_.pop_back();
-    odd_buffers_[record.odd_index].assign(data, data + size);
+  FTX_CHECK_MSG(size > 0 && offset / slot_size == (offset + record.size - 1) / slot_size,
+                "undo region [%lld, %lld) is empty or straddles a %lld-byte slot window",
+                static_cast<long long>(offset), static_cast<long long>(offset + record.size),
+                static_cast<long long>(slot_size));
+  if (free_slots_.empty()) {
+    FTX_CHECK_LT(slots_.size(), static_cast<size_t>(INT32_MAX));
+    free_slots_.push_back(static_cast<int32_t>(slots_.size()));
+    slots_.push_back(std::make_unique<uint8_t[]>(slot_size_));
   }
+  // Mirror layout: the image sits at its window-relative offset.
+  record.slot = free_slots_.back();
+  free_slots_.pop_back();
+  std::memcpy(slots_[record.slot].get() + offset % slot_size, data, size);
   byte_size_ += record.size;
   records_.push_back(record);
   return static_cast<int32_t>(records_.size()) - 1;
@@ -44,7 +37,6 @@ void UndoLog::WidenToWindow(int32_t index, const uint8_t* window) {
   FTX_CHECK_GE(index, 0);
   FTX_CHECK_LT(static_cast<size_t>(index), records_.size());
   UndoRecord& record = records_[index];
-  FTX_CHECK_GE(record.slot, 0);
   const int64_t slot_size = static_cast<int64_t>(slot_size_);
   if (record.size == slot_size) {
     return;
@@ -69,11 +61,7 @@ void UndoLog::ApplyReverseInto(uint8_t* base, size_t base_size) {
 
 void UndoLog::Discard() {
   for (const UndoRecord& record : records_) {
-    if (record.slot >= 0) {
-      free_slots_.push_back(record.slot);
-    } else if (record.odd_index >= 0) {
-      odd_free_.push_back(record.odd_index);
-    }
+    free_slots_.push_back(record.slot);
   }
   records_.clear();
   byte_size_ = 0;

@@ -18,9 +18,9 @@
 //     offset inside the slot (mirror layout), which lets WidenToWindow
 //     grow a partial image to the full window in place — no second slot,
 //     no moving bytes already captured;
-//   * regions that straddle a window boundary (never produced by the page
-//     barrier) fall back to pooled byte buffers with their own free list,
-//     so even the odd path stops allocating at steady state.
+//   * every region lies within one window: the page barrier clips each
+//     before-image to its page, and RecordBeforeImage aborts on a region
+//     that is empty or straddles a window boundary.
 //
 // Abort cost is therefore proportional to the bytes actually captured, not
 // to slot_size × pages touched: a transaction that pokes 8 bytes into each
@@ -29,23 +29,20 @@
 #ifndef FTX_SRC_STORAGE_UNDO_LOG_H_
 #define FTX_SRC_STORAGE_UNDO_LOG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
 #include <vector>
-
-#include "src/common/bytes.h"
 
 namespace ftx_store {
 
 struct UndoRecord {
   int64_t offset = 0;
   int64_t size = 0;
-  // Pooled storage: index into the log's slot arena (image bytes at the
-  // record's window-relative offset), or -1 when the region straddled a
-  // window boundary and lives in an odd-size fallback buffer instead.
+  // Index into the log's slot arena (image bytes at the record's
+  // window-relative offset).
   int32_t slot = -1;
-  int32_t odd_index = -1;
 };
 // The abort path clears thousands of these per epoch; keeping them POD makes
 // records_.clear() free and the vector growth a memmove.
@@ -59,8 +56,9 @@ class UndoLog {
   explicit UndoLog(size_t slot_size = 4096);
 
   // Logs the previous contents of [offset, offset+size) (copied from
-  // `data`). Returns the record's index, stable until the next Discard /
-  // ApplyReverseInto, for use with WidenToWindow.
+  // `data`), a non-empty region within one slot-aligned window. Returns the
+  // record's index, stable until the next Discard / ApplyReverseInto, for
+  // use with WidenToWindow.
   int32_t RecordBeforeImage(int64_t offset, const uint8_t* data, size_t size);
 
   // Grows record `index` (a pooled, partial record) to cover its whole
@@ -83,11 +81,9 @@ class UndoLog {
 
   const std::vector<UndoRecord>& records() const { return records_; }
 
-  // Before-image bytes of a record (pooled slot or odd-size fallback).
+  // Before-image bytes of a record.
   const uint8_t* RecordData(const UndoRecord& record) const {
-    return record.slot >= 0
-               ? slots_[record.slot].get() + record.offset % static_cast<int64_t>(slot_size_)
-               : odd_buffers_[record.odd_index].data();
+    return slots_[record.slot].get() + record.offset % static_cast<int64_t>(slot_size_);
   }
 
   // Pool instrumentation: total slots ever allocated. Steady state (same
@@ -103,9 +99,6 @@ class UndoLog {
   // Arena of slot_size_-byte buffers; free_slots_ indexes the reusable ones.
   std::vector<std::unique_ptr<uint8_t[]>> slots_;
   std::vector<int32_t> free_slots_;
-  // Fallback pool for window-straddling regions, recycled like the slots.
-  std::vector<ftx::Bytes> odd_buffers_;
-  std::vector<int32_t> odd_free_;
 };
 
 }  // namespace ftx_store

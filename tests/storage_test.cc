@@ -91,15 +91,19 @@ TEST(UndoLog, PooledSlotsAreReusedAcrossEpochs) {
   EXPECT_EQ(log.allocated_slots(), 4u);
 }
 
-TEST(UndoLog, OddSizedRegionsUseFallback) {
-  std::vector<uint8_t> buffer(100, 7);
+TEST(UndoLogDeathTest, RegionOutsideOneSlotWindowAborts) {
+  // The page barrier clips every before-image to its page, so a region that
+  // straddles a slot window, or an empty one, is a caller's bug.
+  std::vector<uint8_t> buffer(128, 7);
   ftx_store::UndoLog log(64);
-  log.RecordBeforeImage(0, buffer.data(), 100);  // straddles a slot window
-  EXPECT_EQ(log.allocated_slots(), 0u);
-  EXPECT_EQ(log.records()[0].slot, -1);
-  std::fill(buffer.begin(), buffer.end(), 9);
-  log.ApplyReverseInto(buffer.data(), buffer.size());
-  EXPECT_EQ(buffer, std::vector<uint8_t>(100, 7));
+  EXPECT_DEATH(log.RecordBeforeImage(0, buffer.data(), 100),
+               "undo region \\[0, 100\\) is empty or straddles a 64-byte slot window");
+  EXPECT_DEATH(log.RecordBeforeImage(32, buffer.data() + 32, 64),
+               "undo region \\[32, 96\\) is empty");
+  EXPECT_DEATH(log.RecordBeforeImage(16, buffer.data() + 16, 0), "undo region \\[16, 16\\)");
+  // A region ending exactly at a window boundary fits.
+  log.RecordBeforeImage(32, buffer.data() + 32, 32);
+  EXPECT_EQ(log.allocated_slots(), 1u);
 }
 
 TEST(UndoLog, PartialExtentUsesPooledSlotAtWindowOffset) {
@@ -139,18 +143,6 @@ TEST(UndoLog, WidenToWindowCompletesPartialImageInPlace) {
   EXPECT_EQ(buffer, committed);
   // The widened record's slot went back to the pool.
   EXPECT_EQ(log.free_slots(), 1u);
-}
-
-TEST(UndoLog, OddFallbackBuffersAreRecycledAcrossEpochs) {
-  std::vector<uint8_t> buffer(256, 3);
-  ftx_store::UndoLog log(64);
-  for (int epoch = 0; epoch < 4; ++epoch) {
-    log.RecordBeforeImage(32, buffer.data() + 32, 64);   // straddles windows
-    log.RecordBeforeImage(130, buffer.data() + 130, 70);  // straddles windows
-    EXPECT_EQ(log.allocated_slots(), 0u);
-    log.Discard();
-  }
-  EXPECT_EQ(log.byte_size(), 0);
 }
 
 // --- RedoLog ---
