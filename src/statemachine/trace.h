@@ -154,9 +154,9 @@ class Trace {
 
   // Observer invoked at the end of every Append with the new event's
   // reference, the logged event, and the appending process's vector clock
-  // as of that event. The live causal audit (src/obs/causal/) installs one to
-  // mirror the trace into its ledger without a second event stream; null
-  // (the default) costs nothing.
+  // as of that event. The live causal audit (src/obs/causal/) installs one
+  // and keeps a ring of the events it is handed, with no second event
+  // stream; null (the default) costs nothing.
   using AppendObserver =
       std::function<void(EventRef, const TraceEvent&, const VectorClock&)>;
   void SetAppendObserver(AppendObserver observer) { observer_ = std::move(observer); }

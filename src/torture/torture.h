@@ -133,7 +133,7 @@ struct TortureReport {
   // recorded for each torture violation (capped like the diagnostics).
   bool audited = false;
   int64_t audit_violations = 0;
-  int64_t audit_events = 0;  // causal-ledger appends in the traced run
+  int64_t audit_events = 0;  // audit ring appends in the traced run
   int64_t audit_incidents = 0;
   std::vector<std::string> audit_incident_dumps;
 
